@@ -325,6 +325,12 @@ def test_e11_vectorized_class_axis_sweep(quick):
 
     stock_mix = apb1_query_mix()
     wide_mix = _widened_apb1_mix(schema, widen)
+    # --quick does not widen: its second mix is the base mix rebuilt.
+    wide_label = (
+        f"widened mix ({len(wide_mix)} classes)"
+        if widen > 1
+        else f"base mix, not widened ({len(wide_mix)} classes)"
+    )
 
     advisor = Warlock(schema, stock_mix, system, config)
     specs, _ = advisor.generate_specs()
@@ -343,7 +349,7 @@ def test_e11_vectorized_class_axis_sweep(quick):
     ratios = {}
     for label, workload in (
         (f"stock mix ({len(stock_mix)} classes)", stock_mix),
-        (f"widened mix ({len(wide_mix)} classes)", wide_mix),
+        (wide_label, wide_mix),
     ):
         mix_scheme = Warlock(schema, workload, system, config).design_bitmaps()
         scalar_s = _time_class_axis_sweep(layouts, workload, mix_scheme, system, False)
@@ -384,7 +390,6 @@ def test_e11_vectorized_class_axis_sweep(quick):
 
     # The vectorized win grows with the class axis; on the 40-class APB-1
     # sweep it must clear 3x (measured ~3.5x on the reference container).
-    wide_label = f"widened mix ({len(wide_mix)} classes)"
     assert ratios[wide_label] >= 3.0, (
         f"vectorized class-axis sweep only {ratios[wide_label]:.2f}x over "
         f"scalar on the 40-class APB-1 mix"

@@ -22,121 +22,90 @@ Quickstart::
 wrapper over a session.)
 """
 
-from repro.errors import (
-    AdvisorError,
-    AllocationError,
-    BitmapError,
-    CostModelError,
-    EvaluationCancelled,
-    FragmentationError,
-    ReportError,
-    SchemaError,
-    SimulationError,
-    StorageError,
-    WarlockError,
-    WorkloadError,
-)
-from repro.schema import Dimension, FactTable, Level, Measure, StarSchema, validate_schema
-from repro.skew import SkewSpec, ZipfDistribution
-from repro.storage import (
-    Architecture,
-    DiskParameters,
-    PrefetchPolicy,
-    PrefetchSetting,
-    SystemParameters,
-)
-from repro.workload import DimensionRestriction, QueryClass, QueryMix
-from repro.fragmentation import (
-    FragmentationAttribute,
-    FragmentationLayout,
-    FragmentationSpec,
-    build_layout,
-    count_point_fragmentations,
-    enumerate_point_fragmentations,
-)
-from repro.bitmap import BitmapIndex, BitmapScheme, BitmapType, design_bitmap_scheme
-from repro.costmodel import IOCostModel, WorkloadEvaluation, resolve_prefetch_setting
-from repro.allocation import (
-    Allocation,
-    choose_allocation,
-    greedy_size_allocation,
-    round_robin_allocation,
-)
-from repro.core import (
-    AdvisorConfig,
-    FragmentationCandidate,
-    RankedCandidate,
-    Recommendation,
-    Warlock,
-)
-from repro.engine import (
-    CacheStore,
-    EvaluationCache,
-    EvaluationEngine,
-    EvaluationPlan,
-    recommendation_fingerprint,
-)
-from repro.analysis import (
-    compare_candidates,
-    compare_specs,
-    disk_access_profile,
-    format_allocation_report,
-    format_full_report,
-    format_query_analysis,
-    format_ranking_table,
-)
-from repro.simulation import DiskSimulator, instantiate_query
-from repro.graph import (
-    build_affinity_graph,
-    build_schema_graph,
-    dimension_ranking,
-    suggest_fragmentation_dimensions,
-)
-from repro.tuning import (
-    TuningStudy,
-    architecture_study,
-    bitmap_exclusion_study,
-    disk_count_study,
-    prefetch_study,
-    skew_study,
-    workload_weight_study,
-)
-from repro.io import (
-    candidate_to_dict,
-    load_config_file,
-    parse_config,
-    recommendation_to_dict,
-    schema_from_dict,
-    schema_to_dict,
-    system_from_dict,
-    system_to_dict,
-    workload_from_list,
-    workload_to_list,
-)
-from repro.api import (
-    AdvisorSession,
-    CancellationToken,
-    CompareRequest,
-    CompareResult,
-    EngineOptions,
-    EngineOptionsDeprecationWarning,
-    EvaluateSpecRequest,
-    EvaluateSpecResult,
-    ProgressEvent,
-    RecommendRequest,
-    RecommendResult,
-    SimulateRequest,
-    SimulateResult,
-    TuneRequest,
-    TuneResult,
-)
-from repro.datasets import (
-    apb1_query_mix,
-    apb1_schema,
-    retail_query_mix,
-    retail_schema,
-    synthetic_schema,
-)
+import importlib
+from typing import Any, Dict, List, Tuple
+
+#: Submodule -> the public names it provides.  Nothing is imported until a
+#: name is first looked up (PEP 562), so a process pays only for the
+#: subpackages it uses: ``warlock recommend`` never loads the graph, tuning,
+#: simulation or service layers.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.errors": (
+        "AdvisorError", "AllocationError", "BitmapError", "CostModelError",
+        "EvaluationCancelled", "FragmentationError", "ReportError", "SchemaError",
+        "SimulationError", "StorageError", "WarlockError", "WorkloadError",
+    ),
+    "repro.schema": (
+        "Dimension", "FactTable", "Level", "Measure", "StarSchema", "validate_schema",
+    ),
+    "repro.skew": (
+        "SkewSpec", "ZipfDistribution",
+    ),
+    "repro.storage": (
+        "Architecture", "DiskParameters", "PrefetchPolicy", "PrefetchSetting",
+        "SystemParameters",
+    ),
+    "repro.workload": (
+        "DimensionRestriction", "QueryClass", "QueryMix",
+    ),
+    "repro.fragmentation": (
+        "FragmentationAttribute", "FragmentationLayout", "FragmentationSpec",
+        "build_layout", "count_point_fragmentations", "enumerate_point_fragmentations",
+    ),
+    "repro.bitmap": (
+        "BitmapIndex", "BitmapScheme", "BitmapType", "design_bitmap_scheme",
+    ),
+    "repro.costmodel": (
+        "IOCostModel", "WorkloadEvaluation", "resolve_prefetch_setting",
+    ),
+    "repro.allocation": (
+        "Allocation", "choose_allocation", "greedy_size_allocation",
+        "round_robin_allocation",
+    ),
+    "repro.core": (
+        "AdvisorConfig", "FragmentationCandidate", "RankedCandidate", "Recommendation",
+        "Warlock",
+    ),
+    "repro.engine": (
+        "CacheStore", "EvaluationCache", "EvaluationEngine", "EvaluationPlan",
+        "recommendation_fingerprint",
+    ),
+    "repro.analysis": (
+        "compare_candidates", "compare_specs", "disk_access_profile",
+        "format_allocation_report", "format_full_report", "format_query_analysis",
+        "format_ranking_table",
+    ),
+    "repro.simulation": (
+        "DiskSimulator", "instantiate_query",
+    ),
+    "repro.graph": (
+        "build_affinity_graph", "build_schema_graph", "dimension_ranking",
+        "suggest_fragmentation_dimensions",
+    ),
+    "repro.tuning": (
+        "TuningStudy", "architecture_study", "bitmap_exclusion_study",
+        "disk_count_study", "prefetch_study", "skew_study", "workload_weight_study",
+    ),
+    "repro.io": (
+        "candidate_to_dict", "load_config_file", "parse_config",
+        "recommendation_to_dict", "schema_from_dict", "schema_to_dict",
+        "system_from_dict", "system_to_dict", "workload_from_list", "workload_to_list",
+    ),
+    "repro.api": (
+        "AdvisorSession", "CancellationToken", "CompareRequest", "CompareResult",
+        "EngineOptions", "EngineOptionsDeprecationWarning", "EvaluateSpecRequest",
+        "EvaluateSpecResult", "ProgressEvent", "RecommendRequest", "RecommendResult",
+        "SimulateRequest", "SimulateResult", "TuneRequest", "TuneResult",
+    ),
+    "repro.datasets": (
+        "apb1_query_mix", "apb1_schema", "retail_query_mix", "retail_schema",
+        "synthetic_schema",
+    ),
+}
+
+_MODULE_OF: Dict[str, str] = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -265,3 +234,17 @@ __all__ = [
     "synthetic_schema",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule that provides ``name`` on first use (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

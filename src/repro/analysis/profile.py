@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.candidates import FragmentationCandidate
 from repro.errors import ReportError
-from repro.simulation import instantiate_query
 from repro.skew import coefficient_of_variation
 from repro.workload import QueryClass
 
@@ -90,6 +89,10 @@ def disk_access_profile(
     weighted_values:
         Draw restriction values proportionally to the data behind them.
     """
+    # Imported here: the replay simulator is off the recommend path, which
+    # loads this package for its report statistics.
+    from repro.simulation import instantiate_query
+
     if samples <= 0:
         raise ReportError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)

@@ -65,8 +65,8 @@ class EngineOptions:
     jobs:
         Worker processes for candidate sweeps.  ``1`` (default) evaluates
         serially in-process, higher values use a process pool with guaranteed
-        result parity, ``"auto"`` picks the worker count per sweep from the
-        available CPUs and the candidate count (the CLI default).
+        result parity, ``"auto"`` (the CLI default) evaluates serially: the
+        pool has not beaten serial evaluation on any measured sweep.
     vectorize:
         Vectorization mode of the cost sweep.  ``True`` (default, alias
         ``"candidates"``) batches whole chunks of same-axis-structure

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.advisor import Recommendation
 from repro.core.candidates import FragmentationCandidate
-from repro.simulation.simulator import WorkloadSimulationResult
-from repro.tuning import TuningStudy
+
+if TYPE_CHECKING:
+    from repro.simulation.simulator import WorkloadSimulationResult
+    from repro.tuning import TuningStudy
 
 __all__ = [
     "RecommendResult",

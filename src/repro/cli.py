@@ -23,13 +23,6 @@ import signal
 import sys
 from typing import Callable, List, Optional, Tuple
 
-from repro.analysis import (
-    format_allocation_report,
-    format_full_report,
-    format_query_analysis,
-    format_ranking_table,
-    occupancy_chart,
-)
 from repro.api import EngineOptions
 from repro.core import AdvisorConfig, Warlock
 from repro.datasets import (
@@ -46,7 +39,6 @@ from repro.io import (
     recommendation_to_dict,
 )
 from repro.schema import StarSchema
-from repro.simulation import DiskSimulator
 from repro.storage import SystemParameters
 from repro.workload import QueryMix
 
@@ -280,12 +272,20 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         payload["evaluated"] = recommendation.exclusion_report.surviving_count
         print(json.dumps(payload, indent=2))
     else:
+        from repro.analysis import format_ranking_table
+
         print(format_ranking_table(recommendation))
     _finish_cache(advisor)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        format_allocation_report,
+        format_query_analysis,
+        occupancy_chart,
+    )
+
     advisor = _advisor(args)
     recommendation = advisor.recommend(
         on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
@@ -305,6 +305,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis import format_full_report
+
     advisor = _advisor(args)
     recommendation = advisor.recommend(
         on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
@@ -315,6 +317,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulation import DiskSimulator
+
     advisor = _advisor(args)
     recommendation = advisor.recommend(
         on_progress=_progress_meter(args), cancel=getattr(args, "cancel", None)
@@ -603,9 +607,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="worker processes for the candidate-evaluation engine "
-        "(default 'auto' = pick from available CPUs and sweep size; "
-        "1 forces serial; parallel runs return identical results; a config "
-        "file's engine block may override the default)",
+        "(default 'auto' = serial, which beat the pool on every measured "
+        "sweep; N > 1 starts a process pool; parallel runs return identical "
+        "results; a config file's engine block may override the default)",
     )
     parser.add_argument(
         "--no-vectorize",
@@ -685,13 +689,38 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser whose flags may be attached when it is first used.
+
+    ``attach`` (a callable taking the parser) runs once, before the parser
+    parses anything, so a subcommand whose flags are defined in a heavy
+    package (``lint``) costs the other subcommands no import.
+    """
+
+    attach: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        attach, self.attach = self.attach, None
+        if attach is not None:
+            attach(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.lint.runner import add_lint_arguments
+
+    add_lint_arguments(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``warlock`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="warlock",
         description="WARLOCK: data allocation advisor for parallel data warehouses",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     recommend = subparsers.add_parser("recommend", help="print the ranked candidate list")
     _add_common_arguments(recommend)
@@ -821,10 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis over the advisor's load-bearing contracts "
         "(see also: python -m repro.lint)",
     )
-    # Deferred import: the lint framework is only needed by this subcommand.
-    from repro.lint.runner import add_lint_arguments
-
-    add_lint_arguments(lint)
+    # The lint framework is imported only when this subcommand is parsed.
+    lint.attach = _add_lint_arguments
     lint.set_defaults(func=_cmd_lint)
 
     return parser
@@ -835,11 +862,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.api import CancellationToken
     from repro.errors import EvaluationCancelled
 
-    from repro.lint.sanitizer import install_from_env
+    # Opt-in runtime concurrency sanitizer (WARLOCK_SANITIZE=1): instrument-only
+    # when set; the lint package is not even imported when it is unset.
+    if os.environ.get("WARLOCK_SANITIZE"):
+        from repro.lint.sanitizer import install_from_env
 
-    # Opt-in runtime concurrency sanitizer (WARLOCK_SANITIZE=1): no-op when
-    # the variable is unset, instrument-only when set.
-    install_from_env()
+        install_from_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     # Every command runs under a SIGINT-wired CancellationToken: Ctrl-C

@@ -261,9 +261,9 @@ class Warlock:
     ) -> Tuple[List[FragmentationCandidate], ExclusionReport]:
         """Evaluate every surviving candidate (or an explicit list of specs).
 
-        The sweep runs through the evaluation engine: serial when
-        ``jobs == 1``, on a process pool otherwise, with identical results
-        either way.
+        The sweep runs through the evaluation engine: serial for ``jobs=1``
+        and ``"auto"``, on a process pool for ``jobs > 1``, with identical
+        results either way.
         """
         if specs is None:
             specs, report = self.generate_specs()

@@ -24,7 +24,7 @@ explicit pipeline:
 
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.engine.store import STORE_FORMAT_VERSION, CacheStore, store_salt
-from repro.engine.jobs import MIN_SPECS_FOR_PARALLEL, adaptive_jobs, available_cpus
+from repro.engine.jobs import available_cpus
 from repro.engine.plan import EvaluationPlan, WorkUnit
 from repro.engine.result import CandidateColumns, CandidateResultBatch
 from repro.engine.signature import (
@@ -55,8 +55,6 @@ __all__ = [
     "EvaluationEngine",
     "evaluate_spec_in_context",
     "evaluate_specs_in_context",
-    "MIN_SPECS_FOR_PARALLEL",
-    "adaptive_jobs",
     "available_cpus",
     "layout_signature",
     "object_signature",

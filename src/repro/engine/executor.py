@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import pickle
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,7 +65,6 @@ from repro.schema import StarSchema
 from repro.storage import SystemParameters
 from repro.workload import ClassMatrix, QueryMix
 from repro.engine.cache import EvaluationCache
-from repro.engine.jobs import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
 from repro.engine.plan import EvaluationPlan
 from repro.engine.result import CandidateResultBatch
 from repro.engine.signature import object_signature, stable_digest
@@ -77,7 +74,6 @@ __all__ = [
     "EvaluationEngine",
     "evaluate_spec_in_context",
     "evaluate_specs_in_context",
-    "MIN_SPECS_FOR_PARALLEL",
 ]
 
 #: Serial candidate-axis chunk cap: one axis-structure group is the natural
@@ -543,11 +539,13 @@ class EvaluationEngine:
     def resolve_jobs(self, num_candidates: int) -> int:
         """The worker count for a sweep of ``num_candidates`` candidates.
 
-        Fixed ``jobs`` values pass through; ``"auto"`` applies the adaptive
-        heuristic (CPUs available to the process, candidates per worker).
+        Fixed ``jobs`` values pass through; ``"auto"`` is serial at every
+        sweep size: on every measured sweep (APB-1, retail, and synthetic
+        sweeps of up to 387 candidates, on 2 CPUs) the pool's start-up and
+        context shipping cost more than it saves.
         """
         if self.jobs == "auto":
-            return adaptive_jobs(num_candidates)
+            return 1
         return self.jobs
 
     # -- evaluation -------------------------------------------------------------
@@ -571,8 +569,8 @@ class EvaluationEngine:
         """Evaluate every candidate of ``specs``, preserving order.
 
         Serial and parallel backends return identical candidate lists; the
-        parallel backend is only engaged when the resolved worker count
-        exceeds one and the sweep is large enough to amortize the pool.
+        parallel backend is engaged whenever the resolved worker count exceeds
+        one (an explicit ``jobs=N``; ``"auto"`` resolves to serial).
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
         completed plan chunk (each candidate is its own chunk on the serial
@@ -608,11 +606,9 @@ class EvaluationEngine:
                         file=sys.stderr,
                     )
                     degraded = True
-            if (
-                candidates is None
-                and jobs > 1
-                and plan.num_candidates >= MIN_SPECS_FOR_PARALLEL
-            ):
+            if candidates is None and jobs > 1:
+                from concurrent.futures.process import BrokenProcessPool
+
                 try:
                     candidates = self._evaluate_parallel(
                         plan, context, jobs, on_progress, cancel, partial=partial
@@ -784,6 +780,8 @@ class EvaluationEngine:
                 context.vectorize == "candidates" and context.class_matrix is not None
             ),
         )
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         completed = warm
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)),

@@ -1,31 +1,16 @@
-"""Adaptive worker-count selection for the candidate-evaluation engine.
+"""CPU discovery for choosing an explicit worker count.
 
-``jobs="auto"`` picks the number of worker processes from the CPUs actually
-available to this process and the size of the sweep, instead of forcing the
-DBA to guess.  The heuristic is deliberately conservative: a process pool only
-pays off once every worker has enough candidates to amortize the pool start-up
-and the context shipping, so small sweeps stay serial regardless of core
-count.
-
-Choosing any number of workers never changes results — execution strategy is
-invisible in the engine's output (the parity tests assert bit-identical
-recommendations for every ``jobs`` value) — so the heuristic only trades
-wall-clock time, never correctness.
+``jobs="auto"`` is serial (see :meth:`repro.engine.EvaluationEngine.resolve_jobs`);
+callers that want a process pool pass ``jobs=N`` and may size it with
+:func:`available_cpus`.  No worker count ever changes a result: the parity
+tests assert bit-identical recommendations for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-__all__ = ["available_cpus", "adaptive_jobs", "MIN_SPECS_FOR_PARALLEL"]
-
-#: Below this many candidates a process pool cannot amortize its start-up and
-#: serialization overhead; such sweeps evaluate serially.  Doubles as the
-#: block size of ``jobs="auto"``: one worker per *started* block of this many
-#: candidates (ceil division), so any sweep strictly larger than this gets at
-#: least two workers while a sweep of exactly this size stays serial.
-MIN_SPECS_FOR_PARALLEL = 8
+__all__ = ["available_cpus"]
 
 
 def available_cpus() -> int:
@@ -43,21 +28,3 @@ def available_cpus() -> int:
     else:
         count = os.cpu_count()
     return max(1, count or 1)
-
-
-def adaptive_jobs(num_candidates: int, cpus: Optional[int] = None) -> int:
-    """Worker count for a sweep of ``num_candidates`` candidates.
-
-    One worker per *started* block of :data:`MIN_SPECS_FOR_PARALLEL`
-    candidates (ceil division), capped at the available CPUs, never below 1 —
-    so ``jobs="auto"`` evaluates sweeps of up to
-    :data:`MIN_SPECS_FOR_PARALLEL` candidates serially, parallelizes
-    everything above it (a 9-candidate sweep already gets two workers),
-    scales up with the candidate space, and never oversubscribes the machine.
-    """
-    if num_candidates < 0:
-        raise ValueError(f"num_candidates must be non-negative, got {num_candidates}")
-    cpus = available_cpus() if cpus is None else cpus
-    if cpus < 1:
-        raise ValueError(f"cpus must be at least 1, got {cpus}")
-    return max(1, min(cpus, -(-num_candidates // MIN_SPECS_FOR_PARALLEL)))

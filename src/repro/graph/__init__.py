@@ -14,20 +14,27 @@ Two graph structures support the advisor and the analysis layer:
   are the natural joint fragmentation dimensions; the affinity graph therefore
   yields a cheap pre-selection of promising fragmentation dimension sets, which
   the advisor can use to cap the candidate space on very wide schemas.
+
+Both are plain dict adjacency structures (:class:`SchemaGraph`,
+:class:`AffinityGraph`); the package needs no graph library.
 """
 
 from repro.graph.schema_graph import (
+    SchemaGraph,
     build_schema_graph,
     hierarchy_path,
     shared_dimensions,
 )
 from repro.graph.affinity import (
+    AffinityGraph,
     build_affinity_graph,
     dimension_ranking,
     suggest_fragmentation_dimensions,
 )
 
 __all__ = [
+    "SchemaGraph",
+    "AffinityGraph",
     "build_schema_graph",
     "hierarchy_path",
     "shared_dimensions",

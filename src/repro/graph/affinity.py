@@ -19,44 +19,57 @@ fragmentations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from repro.errors import WorkloadError
 from repro.schema import StarSchema
 from repro.workload import QueryMix
 
 __all__ = [
+    "AffinityGraph",
     "build_affinity_graph",
     "dimension_ranking",
     "suggest_fragmentation_dimensions",
 ]
 
 
-def build_affinity_graph(schema: StarSchema, workload: QueryMix) -> nx.Graph:
+@dataclass
+class AffinityGraph:
+    """An undirected weighted graph over dimensions, as plain dicts.
+
+    ``weights`` maps each dimension to its node weight; ``adjacency`` maps
+    each dimension to ``{neighbour: edge weight}`` and is symmetric.  Both
+    follow the fact table's dimension order.
+    """
+
+    name: str
+    weights: Dict[str, float] = field(default_factory=dict)
+    adjacency: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+
+def build_affinity_graph(schema: StarSchema, workload: QueryMix) -> AffinityGraph:
     """Build the weighted dimension-affinity graph of ``workload`` over ``schema``."""
     workload.validate(schema)
-    graph = nx.Graph(name=f"affinity:{schema.name}")
+    graph = AffinityGraph(name=f"affinity:{schema.name}")
     for dimension in schema.fact_table().dimension_names:
-        graph.add_node(dimension, weight=0.0)
+        graph.weights[dimension] = 0.0
+        graph.adjacency[dimension] = {}
     for query_class, share in workload.weighted_items():
-        accessed = [d for d in query_class.accessed_dimensions if graph.has_node(d)]
+        accessed = [d for d in query_class.accessed_dimensions if d in graph.weights]
         for dimension in accessed:
-            graph.nodes[dimension]["weight"] += share
+            graph.weights[dimension] += share
         for index, first in enumerate(accessed):
             for second in accessed[index + 1:]:
-                if graph.has_edge(first, second):
-                    graph[first][second]["weight"] += share
-                else:
-                    graph.add_edge(first, second, weight=share)
+                weight = graph.adjacency[first].get(second, 0.0) + share
+                graph.adjacency[first][second] = weight
+                graph.adjacency[second][first] = weight
     return graph
 
 
 def dimension_ranking(schema: StarSchema, workload: QueryMix) -> List[Tuple[str, float]]:
     """Dimensions ranked by the workload share that restricts them (descending)."""
-    graph = build_affinity_graph(schema, workload)
-    ranking = [(node, data["weight"]) for node, data in graph.nodes(data=True)]
+    ranking = list(build_affinity_graph(schema, workload).weights.items())
     ranking.sort(key=lambda item: (-item[1], item[0]))
     return ranking
 

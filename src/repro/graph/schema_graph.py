@@ -6,7 +6,7 @@ Node naming convention:
 * ``level:<dimension>.<level>`` — one node per hierarchy level,
 * ``fact:<fact table>`` — one node per fact table.
 
-Edge kinds (stored in the ``kind`` edge attribute):
+Edge kinds (the values of :attr:`SchemaGraph.adjacency`):
 
 * ``hierarchy`` — from a coarser level to the next finer level of the same
   dimension,
@@ -16,14 +16,58 @@ Edge kinds (stored in the ``kind`` edge attribute):
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SchemaError
 from repro.schema import StarSchema
 
-__all__ = ["build_schema_graph", "hierarchy_path", "shared_dimensions"]
+__all__ = ["SchemaGraph", "build_schema_graph", "hierarchy_path", "shared_dimensions"]
+
+
+@dataclass
+class SchemaGraph:
+    """A directed graph as plain dicts.
+
+    ``nodes`` maps each node to its attribute dict (always including
+    ``kind``); ``adjacency`` maps each node to ``{successor: edge kind}``.
+    Both preserve insertion order, so iteration follows the schema.
+    """
+
+    name: str
+    nodes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    adjacency: Dict[str, Dict[str, str]] = field(default_factory=dict)
+
+    def add_node(self, node: str, **attributes: Any) -> None:
+        self.nodes[node] = attributes
+        self.adjacency.setdefault(node, {})
+
+    def add_edge(self, source: str, target: str, kind: str) -> None:
+        self.adjacency[source][target] = kind
+
+    def shortest_path(self, source: str, target: str, kind: str) -> Optional[List[str]]:
+        """Breadth-first path from ``source`` to ``target`` (both included).
+
+        Only edges of ``kind`` are followed.  Returns ``None`` when
+        ``target`` is unreachable that way.
+        """
+        parents: Dict[str, Optional[str]] = {source: None}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                path = []
+                cursor: Optional[str] = node
+                while cursor is not None:
+                    path.append(cursor)
+                    cursor = parents[cursor]
+                return path[::-1]
+            for successor, edge_kind in self.adjacency.get(node, {}).items():
+                if successor not in parents and edge_kind == kind:
+                    parents[successor] = node
+                    queue.append(successor)
+        return None
 
 
 def _dim_node(dimension: str) -> str:
@@ -38,14 +82,14 @@ def _fact_node(fact: str) -> str:
     return f"fact:{fact}"
 
 
-def build_schema_graph(schema: StarSchema) -> nx.DiGraph:
+def build_schema_graph(schema: StarSchema) -> SchemaGraph:
     """Build the directed schema graph of ``schema``.
 
     Nodes carry ``kind`` (``dimension`` / ``level`` / ``fact``) plus the
     relevant metadata (cardinality for levels, row counts for facts), so the
     graph is self-contained for visualization or export.
     """
-    graph = nx.DiGraph(name=schema.name)
+    graph = SchemaGraph(name=schema.name)
     for dimension in schema.dimensions:
         graph.add_node(
             _dim_node(dimension.name),
@@ -94,22 +138,16 @@ def hierarchy_path(
     graph = build_schema_graph(schema)
     source = _level_node(dimension, from_level)
     target = _level_node(dimension, to_level)
-    if source not in graph or target not in graph:
+    if source not in graph.nodes or target not in graph.nodes:
         raise SchemaError(
             f"unknown level in hierarchy_path: {dimension}.{from_level} / "
             f"{dimension}.{to_level}"
         )
-    hierarchy = graph.edge_subgraph(
-        [(u, v) for u, v, data in graph.edges(data=True) if data["kind"] == "hierarchy"]
-    ).copy() if graph.edges else nx.DiGraph()
-    if source == target:
-        return [from_level]
-    try:
-        nodes = nx.shortest_path(hierarchy, source, target)
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
+    nodes = graph.shortest_path(source, target, kind="hierarchy")
+    if nodes is None:
         raise SchemaError(
             f"{dimension}.{from_level} is not an ancestor of {dimension}.{to_level}"
-        ) from error
+        )
     return [graph.nodes[node]["level"] for node in nodes]
 
 

@@ -14,7 +14,7 @@ from repro.engine import (
     layout_signature,
     object_signature,
 )
-from repro.engine.executor import MIN_SPECS_FOR_PARALLEL, evaluate_spec_in_context
+from repro.engine.executor import evaluate_spec_in_context
 from repro.errors import AdvisorError
 from repro.fragmentation import build_layout
 
@@ -312,19 +312,6 @@ class TestEvaluationEngine:
         candidates = toy_advisor.engine().evaluate_specs(reversed_specs)
         assert [c.label for c in candidates] == [s.label for s in reversed_specs]
 
-    def test_small_sweeps_stay_serial(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        engine = EvaluationEngine(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            toy_advisor.config,
-            options=EngineOptions(jobs=4),
-        )
-        few = specs[: MIN_SPECS_FOR_PARALLEL - 1]
-        candidates = engine.evaluate_specs(few)
-        assert len(candidates) == len(few)
-
     def test_context_is_picklable(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
         engine = toy_advisor.engine()
@@ -362,55 +349,37 @@ class TestEvaluationEngine:
 
 
 class TestAdaptiveJobs:
-    """The jobs="auto" heuristic: CPUs available x candidates per worker."""
+    """jobs="auto" is serial; an explicit worker count still uses the pool.
+
+    The pool lost to serial evaluation on every measured sweep (2 CPUs,
+    APB-1 at 9 ms up to 387 candidates x 80 classes), so "auto" no longer
+    starts one.
+    """
 
     def test_available_cpus_is_at_least_one(self):
         from repro.engine import available_cpus
 
         assert available_cpus() >= 1
 
-    def test_small_sweeps_stay_serial(self):
-        from repro.engine import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
+    def test_small_sweeps_stay_serial(self, toy_advisor, monkeypatch):
+        import concurrent.futures
 
-        for candidates in range(MIN_SPECS_FOR_PARALLEL):
-            assert adaptive_jobs(candidates, cpus=64) == 1
+        def no_pool(*args, **kwargs):
+            raise AssertionError('jobs="auto" started a process pool')
 
-    def test_one_worker_per_started_candidate_block(self):
-        from repro.engine import adaptive_jobs
-
-        # Ceil division: one worker per *started* block of
-        # MIN_SPECS_FOR_PARALLEL candidates.
-        assert adaptive_jobs(8, cpus=64) == 1
-        assert adaptive_jobs(16, cpus=64) == 2
-        assert adaptive_jobs(17, cpus=64) == 3
-        assert adaptive_jobs(64, cpus=64) == 8
-        assert adaptive_jobs(1000, cpus=64) == 64
-
-    def test_auto_parallelizes_just_above_the_threshold(self):
-        # The documented contract: any sweep strictly larger than
-        # MIN_SPECS_FOR_PARALLEL gets a pool under jobs="auto".  Floor
-        # division used to leave 9-15-candidate sweeps serial despite the
-        # README/docstring promise.
-        from repro.engine import MIN_SPECS_FOR_PARALLEL, adaptive_jobs
-
-        for candidates in range(MIN_SPECS_FOR_PARALLEL + 1, 2 * MIN_SPECS_FOR_PARALLEL):
-            assert adaptive_jobs(candidates, cpus=64) == 2
-        # A sweep of exactly the threshold still amortizes nothing: serial.
-        assert adaptive_jobs(MIN_SPECS_FOR_PARALLEL, cpus=64) == 1
-
-    def test_capped_at_available_cpus(self):
-        from repro.engine import adaptive_jobs
-
-        assert adaptive_jobs(1000, cpus=1) == 1
-        assert adaptive_jobs(1000, cpus=4) == 4
-
-    def test_rejects_invalid_inputs(self):
-        from repro.engine import adaptive_jobs
-
-        with pytest.raises(ValueError):
-            adaptive_jobs(-1)
-        with pytest.raises(ValueError):
-            adaptive_jobs(10, cpus=0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        specs, _ = toy_advisor.generate_specs()
+        engine = EvaluationEngine(
+            toy_advisor.schema,
+            toy_advisor.workload,
+            toy_advisor.system,
+            toy_advisor.config,
+            options=EngineOptions(jobs="auto"),
+        )
+        # More than the 8 candidates above which "auto" used to start a pool.
+        assert len(specs) > 8
+        candidates = engine.evaluate_specs(specs)
+        assert [c.label for c in candidates] == [s.label for s in specs]
 
     def test_engine_resolves_auto_per_sweep(self, toy_advisor):
         engine = EvaluationEngine(
@@ -420,10 +389,18 @@ class TestAdaptiveJobs:
             toy_advisor.config,
             options=EngineOptions(jobs="auto"),
         )
-        from repro.engine import adaptive_jobs
+        for candidates in (0, 1, 8, 9, 17, 263, 1_000_000):
+            assert engine.resolve_jobs(candidates) == 1
 
-        assert engine.resolve_jobs(100) == adaptive_jobs(100)
-        assert engine.resolve_jobs(1) == 1
+    @pytest.mark.parametrize("dataset", ["apb1", "retail"])
+    def test_default_cli_json_matches_explicit_jobs(self, dataset, capsys):
+        from repro.cli import main
+
+        outputs = []
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            assert main(["recommend", "--json", "--dataset", dataset, *jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_engine_fixed_jobs_pass_through(self, toy_advisor):
         engine = EvaluationEngine(
@@ -464,6 +441,7 @@ class TestBrokenPoolDegradedRetry:
     def test_broken_pool_resumes_serially_without_redispatch(
         self, apb_small_schema, apb_workload, small_system, monkeypatch, capsys
     ):
+        import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.engine import executor as executor_module
@@ -530,8 +508,10 @@ class TestBrokenPoolDegradedRetry:
             serial_dispatched.append(list(indices))
             return real_evaluate(context, indices, cache)
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", PoisonedPool)
-        monkeypatch.setattr(executor_module, "wait", deterministic_wait)
+        # The engine imports the pool API on the pool path only, so the
+        # fakes go where that import looks them up.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoisonedPool)
+        monkeypatch.setattr(concurrent.futures, "wait", deterministic_wait)
         monkeypatch.setattr(
             executor_module, "evaluate_specs_in_context", tracking_evaluate
         )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro import (
@@ -25,27 +24,27 @@ from repro.graph import hierarchy_path, shared_dimensions
 class TestSchemaGraph:
     def test_node_counts(self, toy_schema):
         graph = build_schema_graph(toy_schema)
-        dims = [n for n, d in graph.nodes(data=True) if d["kind"] == "dimension"]
-        levels = [n for n, d in graph.nodes(data=True) if d["kind"] == "level"]
-        facts = [n for n, d in graph.nodes(data=True) if d["kind"] == "fact"]
+        dims = [n for n, d in graph.nodes.items() if d["kind"] == "dimension"]
+        levels = [n for n, d in graph.nodes.items() if d["kind"] == "level"]
+        facts = [n for n, d in graph.nodes.items() if d["kind"] == "fact"]
         assert len(dims) == 3
         assert len(levels) == 3 + 2 + 2
         assert len(facts) == 1
 
     def test_edge_kinds(self, toy_schema):
         graph = build_schema_graph(toy_schema)
-        kinds = {data["kind"] for _, _, data in graph.edges(data=True)}
+        kinds = {kind for successors in graph.adjacency.values() for kind in successors.values()}
         assert kinds == {"hierarchy", "has_level", "references"}
 
     def test_hierarchy_edges_follow_levels(self, toy_schema):
         graph = build_schema_graph(toy_schema)
-        assert graph.has_edge("level:time.year", "level:time.quarter")
-        assert graph.has_edge("level:time.quarter", "level:time.month")
-        assert not graph.has_edge("level:time.month", "level:time.year")
+        assert graph.adjacency["level:time.year"]["level:time.quarter"] == "hierarchy"
+        assert graph.adjacency["level:time.quarter"]["level:time.month"] == "hierarchy"
+        assert "level:time.year" not in graph.adjacency["level:time.month"]
 
     def test_fact_references(self, toy_schema):
         graph = build_schema_graph(toy_schema)
-        successors = set(graph.successors("fact:sales"))
+        successors = set(graph.adjacency["fact:sales"])
         assert {"dim:time", "dim:product", "dim:store"} <= successors
 
     def test_level_metadata(self, toy_schema):
@@ -54,7 +53,27 @@ class TestSchemaGraph:
 
     def test_is_dag(self, toy_schema):
         graph = build_schema_graph(toy_schema)
-        assert nx.is_directed_acyclic_graph(graph)
+        # Kahn's algorithm: every node is removed iff there is no cycle.
+        indegree = {node: 0 for node in graph.nodes}
+        for successors in graph.adjacency.values():
+            for target in successors:
+                indegree[target] += 1
+        ready = [node for node, degree in indegree.items() if degree == 0]
+        removed = 0
+        while ready:
+            node = ready.pop()
+            removed += 1
+            for target in graph.adjacency[node]:
+                indegree[target] -= 1
+                if indegree[target] == 0:
+                    ready.append(target)
+        assert removed == len(graph.nodes)
+
+    def test_adjacency_covers_every_node(self, toy_schema):
+        graph = build_schema_graph(toy_schema)
+        assert graph.name == toy_schema.name
+        assert list(graph.adjacency) == list(graph.nodes)
+        assert all(target in graph.nodes for s in graph.adjacency.values() for target in s)
 
 
 class TestHierarchyPath:
@@ -100,18 +119,24 @@ class TestAffinityGraph:
         graph = build_affinity_graph(toy_schema, toy_workload)
         shares = toy_workload.dimension_access_shares()
         for dimension, share in shares.items():
-            assert graph.nodes[dimension]["weight"] == pytest.approx(share)
+            assert graph.weights[dimension] == pytest.approx(share)
         # Dimensions never restricted still appear with zero weight.
-        assert set(graph.nodes) == set(toy_schema.fact_table().dimension_names)
+        assert set(graph.weights) == set(toy_schema.fact_table().dimension_names)
 
     def test_edge_weights_are_coaccess_shares(self, toy_schema, toy_workload):
         graph = build_affinity_graph(toy_schema, toy_workload)
         # time+product are co-restricted by classes with weights 4 and 2 of 10.
-        assert graph["time"]["product"]["weight"] == pytest.approx(0.6)
+        assert graph.adjacency["time"]["product"] == pytest.approx(0.6)
         # time+store co-restricted only by the weight-3 class.
-        assert graph["time"]["store"]["weight"] == pytest.approx(0.3)
+        assert graph.adjacency["time"]["store"] == pytest.approx(0.3)
         # product and store never co-occur.
-        assert not graph.has_edge("product", "store")
+        assert "store" not in graph.adjacency["product"]
+
+    def test_adjacency_is_symmetric(self, toy_schema, toy_workload):
+        graph = build_affinity_graph(toy_schema, toy_workload)
+        for first, neighbours in graph.adjacency.items():
+            for second, weight in neighbours.items():
+                assert graph.adjacency[second][first] == weight
 
     def test_invalid_workload_rejected(self, toy_schema):
         bad = QueryMix([QueryClass("q", [DimensionRestriction("ghost", "x")])])
