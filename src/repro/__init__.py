@@ -93,9 +93,9 @@ _EXPORTS: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.api": (
         "AdvisorSession", "CancellationToken", "CompareRequest", "CompareResult",
-        "EngineOptions", "EngineOptionsDeprecationWarning", "EvaluateSpecRequest",
-        "EvaluateSpecResult", "ProgressEvent", "RecommendRequest", "RecommendResult",
-        "SimulateRequest", "SimulateResult", "TuneRequest", "TuneResult",
+        "EngineOptions", "EvaluateSpecRequest", "EvaluateSpecResult",
+        "ProgressEvent", "RecommendRequest", "RecommendResult", "SimulateRequest",
+        "SimulateResult", "TuneRequest", "TuneResult",
     ),
     "repro.datasets": (
         "apb1_query_mix", "apb1_schema", "retail_query_mix", "retail_schema",
@@ -178,7 +178,6 @@ __all__ = [
     # api: sessions, options, requests, progress
     "AdvisorSession",
     "EngineOptions",
-    "EngineOptionsDeprecationWarning",
     "ProgressEvent",
     "CancellationToken",
     "RecommendRequest",

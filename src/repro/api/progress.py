@@ -60,12 +60,10 @@ class ProgressEvent:
     #: single-sweep requests leave both at 1.
     sweep: int = 1
     num_sweeps: int = 1
-    #: Live fabric workers serving this sweep (0 on local sweeps).
-    workers: int = 0
-    #: True when the sweep is running in degraded mode — the parallel or
-    #: fabric path failed (or no workers were reachable) and the engine fell
-    #: back to local serial evaluation.  Results are unaffected; only the
-    #: execution strategy changed.
+    #: True when the sweep is running in degraded mode — the process pool
+    #: failed and the engine fell back to serial evaluation of the remaining
+    #: candidates.  Results are unaffected; only the execution strategy
+    #: changed.
     degraded: bool = False
 
     @property
@@ -86,7 +84,6 @@ class ProgressEvent:
             "label": self.label,
             "sweep": self.sweep,
             "num_sweeps": self.num_sweeps,
-            "workers": self.workers,
             "degraded": self.degraded,
             "fraction": self.fraction,
         }
@@ -99,8 +96,6 @@ class ProgressEvent:
         )
         if self.num_sweeps > 1:
             text = f"sweep {self.sweep}/{self.num_sweeps}: " + text
-        if self.workers:
-            text += f" [{self.workers} worker(s)]"
         if self.degraded:
             text += " [degraded]"
         if self.label:

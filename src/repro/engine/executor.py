@@ -42,7 +42,7 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.allocation import choose_allocation, choose_allocations_batch
 from repro.bitmap import BitmapScheme, design_bitmap_scheme
@@ -59,7 +59,7 @@ from repro.costmodel import (
     resolve_prefetch_setting_batch,
     resolve_prefetch_settings_batch_candidates,
 )
-from repro.errors import AdvisorError, EvaluationCancelled, FabricError
+from repro.errors import AdvisorError, EvaluationCancelled
 from repro.fragmentation import FragmentationSpec, build_layout
 from repro.schema import StarSchema
 from repro.storage import SystemParameters
@@ -389,11 +389,6 @@ class EvaluationEngine:
         engines (tuning studies and sessions do).  ``None`` (default) creates
         a private cache when ``options.cache`` is true.  Workers use private
         caches whose entries are merged back into this one.
-    jobs, vectorize, cache_dir:
-        Deprecated aliases of the corresponding :class:`EngineOptions`
-        fields; passing them emits an
-        :class:`~repro.api.EngineOptionsDeprecationWarning`.  ``cache=False``
-        is likewise a deprecated alias of ``EngineOptions(cache=False)``.
     """
 
     def __init__(
@@ -403,24 +398,21 @@ class EvaluationEngine:
         system: SystemParameters,
         config: Optional[AdvisorConfig] = None,
         fact_table: Optional[str] = None,
-        jobs: Any = None,
-        cache: Any = None,
-        vectorize: Any = None,
-        cache_dir: Any = None,
         options: Optional["EngineOptions"] = None,
+        cache: Optional[EvaluationCache] = None,
     ) -> None:
-        # Imported lazily: repro.api sits above the engine in the layer
-        # stack (its session imports this module).
-        from repro.api.options import UNSET, resolve_engine_options
+        if cache is not None and not isinstance(cache, EvaluationCache):
+            raise TypeError(
+                f"cache must be an EvaluationCache to share or None, got "
+                f"{cache!r}; pass options=EngineOptions(cache=False) to disable "
+                f"caching"
+            )
+        if options is None:
+            # Imported lazily: repro.api sits above the engine in the layer
+            # stack (its session imports this module).
+            from repro.api.options import EngineOptions
 
-        options, shared_cache = resolve_engine_options(
-            options,
-            owner="EvaluationEngine",
-            jobs=UNSET if jobs is None else jobs,
-            vectorize=UNSET if vectorize is None else vectorize,
-            cache=UNSET if cache is None else cache,
-            cache_dir=UNSET if cache_dir is None else cache_dir,
-        )
+            options = EngineOptions()
         self.options = options
         self.schema = schema
         self.workload = workload
@@ -430,8 +422,8 @@ class EvaluationEngine:
         # Validate the whole workload once; evaluation then runs with
         # per-query validation disabled (see evaluate_spec_in_context).
         workload.validate(schema)
-        if shared_cache is not None:
-            self.cache: Optional[EvaluationCache] = shared_cache
+        if cache is not None:
+            self.cache: Optional[EvaluationCache] = cache
         elif options.cache:
             self.cache = EvaluationCache()
         else:
@@ -447,23 +439,6 @@ class EvaluationEngine:
             self.cache.attach(CacheStore(options.cache_dir, max_bytes=max_bytes))
         self._bitmap_scheme: Optional[BitmapScheme] = None
         self._matrices: Dict[str, ClassMatrix] = {}
-
-    # -- legacy option views ----------------------------------------------------
-
-    @property
-    def jobs(self) -> Union[int, str]:
-        """The configured worker count (``options.jobs``)."""
-        return self.options.jobs
-
-    @property
-    def vectorize(self) -> Union[bool, str]:
-        """The vectorization mode of the sweep (``options.vectorize``)."""
-        return self.options.vectorize
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        """The persistent store directory (``options.cache_dir``)."""
-        return self.options.cache_dir
 
     # -- shared inputs ----------------------------------------------------------
 
@@ -544,9 +519,9 @@ class EvaluationEngine:
         sweeps of up to 387 candidates, on 2 CPUs) the pool's start-up and
         context shipping cost more than it saves.
         """
-        if self.jobs == "auto":
+        if self.options.jobs == "auto":
             return 1
-        return self.jobs
+        return self.options.jobs
 
     # -- evaluation -------------------------------------------------------------
 
@@ -589,24 +564,7 @@ class EvaluationEngine:
             # Completed candidates the failing backend already produced; the
             # degraded serial retry resumes from them instead of re-evaluating.
             partial: Dict[int, FragmentationCandidate] = {}
-            if self.options.fabric is not None:
-                try:
-                    candidates = self._evaluate_fabric(
-                        plan, context, on_progress, cancel
-                    )
-                except (OSError, FabricError) as error:
-                    # The coordinator could not bind (port taken, no network):
-                    # the sweep must still complete.  Evaluation errors —
-                    # WarlockError subclasses including EvaluationCancelled —
-                    # still propagate; they would fail locally too.
-                    print(
-                        f"warlock: sweep fabric unavailable "
-                        f"({type(error).__name__}: {error}); evaluating "
-                        f"locally (degraded mode)",
-                        file=sys.stderr,
-                    )
-                    degraded = True
-            if candidates is None and jobs > 1:
+            if jobs > 1:
                 from concurrent.futures.process import BrokenProcessPool
 
                 try:
@@ -646,7 +604,7 @@ class EvaluationEngine:
         return candidates
 
     def _progress_event(
-        self, plan, completed, chunk, num_chunks, label="", workers=0, degraded=False
+        self, plan, completed, chunk, num_chunks, label="", degraded=False
     ):
         """Build the chunk-boundary event (lazy import, see class docstring)."""
         from repro.api.progress import ProgressEvent
@@ -661,7 +619,6 @@ class EvaluationEngine:
             completed_units=completed * per_candidate,
             total_units=plan.num_candidates * per_candidate,
             label=label,
-            workers=workers,
             degraded=degraded,
         )
 
@@ -832,98 +789,3 @@ class EvaluationEngine:
             raise AdvisorError(f"parallel evaluation lost candidates {missing}")
         return results  # type: ignore[return-value]
 
-    def _evaluate_fabric(
-        self,
-        plan: EvaluationPlan,
-        context: EngineContext,
-        on_progress: Optional[Callable] = None,
-        cancel: Any = None,
-    ) -> List[FragmentationCandidate]:
-        """Lease the sweep's chunks to distributed fabric workers.
-
-        Chunking happens here, deterministically, *before* distribution —
-        the same axis-structure groups the serial path walks — so the result
-        set is independent of how many workers serve the sweep (or crash
-        mid-way).  The coordinator re-queues lost leases and degrades to
-        local inline evaluation when no workers are reachable; either way
-        this method returns the same candidates the local paths produce.
-        """
-        # Imported lazily: repro.fabric sits above the engine in the layer
-        # stack (it ships EngineContext values over its wire).
-        from repro.fabric.coordinator import SweepCoordinator
-        from repro.fabric.protocol import parse_address
-
-        results: List[Optional[FragmentationCandidate]] = [None] * plan.num_candidates
-        pending = list(range(plan.num_candidates))
-        if self.cache is not None:
-            pending = []
-            for index, spec in enumerate(plan.specs):
-                candidate = self.cache.get_candidate(context, spec)
-                if candidate is None:
-                    pending.append(index)
-                else:
-                    results[index] = candidate
-        warm = plan.num_candidates - len(pending)
-        self._check_cancel(cancel, warm, plan.num_candidates)
-        if not pending:
-            if on_progress is not None:
-                on_progress(self._progress_event(plan, warm, 1, 1))
-            return results  # type: ignore[return-value]
-        if context.vectorize == "candidates" and context.class_matrix is not None:
-            chunks = plan.axis_groups(indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK)
-        else:
-            chunks = [[index] for index in pending]
-        host, port = parse_address(self.options.fabric)
-        coordinator = SweepCoordinator(
-            context,
-            chunks,
-            host=host,
-            port=port,
-            lease_timeout=self.options.fabric_lease,
-            grace=self.options.fabric_grace,
-            cache=self.cache,
-        )
-        completed = warm
-        done_chunks = 0
-        try:
-            if on_progress is not None:
-                on_progress(
-                    self._progress_event(
-                        plan,
-                        warm,
-                        0,
-                        len(chunks),
-                        workers=coordinator.live_workers(),
-                    )
-                )
-
-            def on_chunk(chunk, pairs):
-                nonlocal completed, done_chunks
-                label = ""
-                for index, candidate in pairs:
-                    results[index] = candidate
-                    label = candidate.label
-                    if self.cache is not None:
-                        self.cache.put_candidate(context, plan.specs[index], candidate)
-                completed += len(pairs)
-                done_chunks += 1
-                if on_progress is not None:
-                    on_progress(
-                        self._progress_event(
-                            plan,
-                            completed,
-                            done_chunks,
-                            len(chunks),
-                            label=label,
-                            workers=coordinator.live_workers(),
-                            degraded=coordinator.degraded,
-                        )
-                    )
-
-            coordinator.run(cancel=cancel, on_chunk=on_chunk)
-        finally:
-            coordinator.close()
-        missing = [index for index, candidate in enumerate(results) if candidate is None]
-        if missing:  # pragma: no cover - defensive, run() returns or raises
-            raise AdvisorError(f"fabric evaluation lost candidates {missing}")
-        return results  # type: ignore[return-value]

@@ -1,12 +1,10 @@
-"""Tests for the API façade: EngineOptions, deprecation shims, requests/results.
+"""Tests for the API façade: EngineOptions, requests/results.
 
 The contract under test (repro.api):
 
 * :class:`EngineOptions` is the one validated carrier of the execution knobs,
-  threaded through every entry point;
-* the legacy per-kwarg forms (``jobs=``, ``vectorize=``, ``cache_dir=``,
-  ``cache=False``) keep working but emit an
-  :class:`EngineOptionsDeprecationWarning` and behave identically;
+  threaded through every entry point; the entry points take no per-knob
+  keyword arguments, only ``options=`` and a shared ``cache=`` instance;
 * typed requests validate on construction and round-trip through
   ``to_dict`` / ``request_from_dict``;
 * every result type serves a stable ``to_dict()``.
@@ -15,7 +13,6 @@ The contract under test (repro.api):
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -23,7 +20,6 @@ from repro import (
     AdvisorSession,
     CompareRequest,
     EngineOptions,
-    EngineOptionsDeprecationWarning,
     EvaluateSpecRequest,
     FragmentationSpec,
     RecommendRequest,
@@ -31,12 +27,18 @@ from repro import (
     TuneRequest,
     Warlock,
     compare_specs,
-    recommendation_fingerprint,
 )
 from repro.api import request_from_dict
-from repro.engine import EvaluationEngine
+from repro.engine import EvaluationCache, EvaluationEngine
 from repro.errors import AdvisorError
-from repro.tuning import disk_count_study
+from repro.tuning import (
+    architecture_study,
+    bitmap_exclusion_study,
+    disk_count_study,
+    prefetch_study,
+    skew_study,
+    workload_weight_study,
+)
 
 
 class TestEngineOptions:
@@ -107,161 +109,72 @@ class TestEngineOptions:
         assert "uncached" in EngineOptions(cache=False).describe()
 
 
-class TestDeprecationShims:
-    """Legacy kwargs warn (with the dedicated category) and behave identically."""
-
-    def test_warlock_jobs_vectorize_cache_dir_warn(
-        self, toy_schema, toy_workload, small_system, tmp_path
-    ):
-        with pytest.warns(EngineOptionsDeprecationWarning, match="EngineOptions"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, jobs=2)
-        assert advisor.options == EngineOptions(jobs=2)
-        with pytest.warns(EngineOptionsDeprecationWarning, match="vectorize"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, vectorize=False)
-        assert advisor.options.vectorize is False
-        with pytest.warns(EngineOptionsDeprecationWarning, match="cache_dir"):
-            advisor = Warlock(
-                toy_schema, toy_workload, small_system, cache_dir=str(tmp_path)
-            )
-        assert advisor.options.cache_dir == str(tmp_path)
-
-    def test_warlock_cache_false_warns(self, toy_schema, toy_workload, small_system):
-        with pytest.warns(EngineOptionsDeprecationWarning, match="cache=False"):
-            advisor = Warlock(toy_schema, toy_workload, small_system, cache=False)
-        assert advisor.cache is None
-
-    def test_shimmed_kwargs_behave_identically(
-        self, toy_schema, toy_workload, small_system
-    ):
-        config = None
-        modern = Warlock(
-            toy_schema,
-            toy_workload,
-            small_system,
-            config,
-            options=EngineOptions(vectorize=False),
-        ).recommend()
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy = Warlock(
-                toy_schema, toy_workload, small_system, config, vectorize=False
-            ).recommend()
-        assert recommendation_fingerprint(modern) == recommendation_fingerprint(legacy)
-
-    def test_engine_shims_warn(self, toy_schema, toy_workload, small_system):
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            engine = EvaluationEngine(toy_schema, toy_workload, small_system, jobs=2)
-        assert engine.jobs == 2
-
-    def test_study_and_compare_shims_warn(self, toy_advisor):
-        specs, _ = toy_advisor.generate_specs()
-        spec = specs[0]
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy = disk_count_study(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                spec,
-                disk_counts=(8,),
-                config=toy_advisor.config,
-                vectorize=False,
-            )
-        modern = disk_count_study(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            spec,
-            disk_counts=(8,),
-            config=toy_advisor.config,
-            options=EngineOptions(vectorize=False),
+def _run_owner(owner, advisor, spec, **kwargs):
+    """Call one options-taking entry point on the toy inputs."""
+    schema, workload, system = advisor.schema, advisor.workload, advisor.system
+    config = advisor.config
+    if owner == "Warlock":
+        return Warlock(schema, workload, system, config, **kwargs).evaluate_spec(spec)
+    if owner == "EvaluationEngine":
+        engine = EvaluationEngine(schema, workload, system, config, **kwargs)
+        return engine.evaluate_spec(spec)
+    if owner == "compare_specs":
+        return compare_specs(schema, workload, system, [spec], config=config, **kwargs)
+    if owner == "skew_study":
+        return skew_study(
+            lambda theta: schema, workload, system, spec, thetas=(0.0,),
+            config=config, **kwargs,
         )
-        assert legacy.records == modern.records
-        with pytest.warns(EngineOptionsDeprecationWarning):
-            legacy_table = compare_specs(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                [spec],
-                config=toy_advisor.config,
-                jobs=1,
-            )
-        modern_table = compare_specs(
-            toy_advisor.schema,
-            toy_advisor.workload,
-            toy_advisor.system,
-            [spec],
-            config=toy_advisor.config,
-            options=EngineOptions(jobs=1),
-        )
-        assert legacy_table == modern_table
+    study, settings = {
+        "disk_count_study": (disk_count_study, {"disk_counts": (8,)}),
+        "architecture_study": (architecture_study, {}),
+        "prefetch_study": (prefetch_study, {"fact_granules": (4,)}),
+        "bitmap_exclusion_study": (bitmap_exclusion_study, {}),
+        "workload_weight_study": (workload_weight_study, {"reweightings": {}}),
+    }[owner]
+    return study(schema, workload, system, spec, config=config, **settings, **kwargs)
 
-    def test_warning_is_attributed_to_the_caller(
-        self, toy_schema, toy_workload, small_system
+
+OWNERS = (
+    "Warlock",
+    "EvaluationEngine",
+    "compare_specs",
+    "disk_count_study",
+    "architecture_study",
+    "prefetch_study",
+    "bitmap_exclusion_study",
+    "skew_study",
+    "workload_weight_study",
+)
+
+
+class TestEntryPointOptions:
+    """Every entry point takes ``options=`` plus a shared ``cache=``, nothing else."""
+
+    @pytest.mark.parametrize("owner", OWNERS)
+    def test_per_knob_kwargs_are_rejected_and_a_shared_cache_warm_starts(
+        self, owner, toy_advisor, tmp_path
     ):
-        # stacklevel must reach through the shim plumbing to the user's call
-        # site, both for constructors and for the one-level-deeper studies.
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            Warlock(toy_schema, toy_workload, small_system, jobs=2)
-        assert caught[0].filename == __file__
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            disk_count_study(
-                toy_schema,
-                toy_workload,
-                small_system,
-                FragmentationSpec.of(("time", "month")),
-                disk_counts=(8,),
-                vectorize=False,
-            )
-        assert caught[0].filename == __file__
-        with pytest.warns(EngineOptionsDeprecationWarning) as caught:
-            compare_specs(
-                toy_schema,
-                toy_workload,
-                small_system,
-                [FragmentationSpec.of(("time", "month"))],
-                jobs=1,
-            )
-        assert caught[0].filename == __file__
-        assert "compare_specs" in str(caught[0].message)
+        spec = FragmentationSpec.of(("time", "month"))
+        for kwarg, value in (("jobs", 2), ("vectorize", False), ("cache_dir", str(tmp_path))):
+            with pytest.raises(TypeError, match=kwarg):
+                _run_owner(owner, toy_advisor, spec, **{kwarg: value})
+        with pytest.raises(TypeError):
+            _run_owner(owner, toy_advisor, spec, cache=False)
 
-    def test_options_plus_deprecated_kwarg_is_an_error(
-        self, toy_schema, toy_workload, small_system
-    ):
-        with pytest.raises(AdvisorError, match="not both"):
-            Warlock(
-                toy_schema,
-                toy_workload,
-                small_system,
-                jobs=2,
-                options=EngineOptions(jobs=4),
-            )
-
-    def test_invalid_legacy_value_raises_without_warning(
-        self, toy_schema, toy_workload, small_system
-    ):
-        # Validation precedes the deprecation warning, so strict -W runs see
-        # the same AdvisorError the legacy signature always raised.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(AdvisorError):
-                Warlock(toy_schema, toy_workload, small_system, jobs=0)
-
-    def test_internal_callers_are_migrated(self, toy_advisor, tmp_path):
-        # The advisor pipeline, the studies and the comparison run shim-free:
-        # any internal use of a deprecated kwarg fails this test (and the
-        # strict CI run) immediately.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", EngineOptionsDeprecationWarning)
-            recommendation = toy_advisor.recommend()
-            disk_count_study(
-                toy_advisor.schema,
-                toy_advisor.workload,
-                toy_advisor.system,
-                recommendation.best.spec,
-                disk_counts=(8,),
-                config=toy_advisor.config,
-                cache=toy_advisor.cache,
-                options=toy_advisor.options,
-            )
+        cache = EvaluationCache()
+        cold = _run_owner(owner, toy_advisor, spec, cache=cache, options=EngineOptions())
+        misses, hits = cache.stats.misses, cache.stats.hits
+        assert misses > 0
+        warm = _run_owner(owner, toy_advisor, spec, cache=cache, options=EngineOptions())
+        assert cache.stats.misses == misses
+        assert cache.stats.hits > hits
+        if isinstance(cold, str):
+            assert warm == cold
+        elif hasattr(cold, "records"):
+            assert warm.records == cold.records
+        else:
+            assert warm is cold
 
 
 class TestRequests:

@@ -536,6 +536,12 @@ class TestServeParser:
         # The serve command rides the same EngineOptions resolver stack.
         assert _engine_options(args).jobs == 2
 
+    def test_serve_request_timeout_flag(self):
+        args = build_parser().parse_args(["serve", "--request-timeout", "30"])
+        assert args.request_timeout == 30.0
+        args = build_parser().parse_args(["serve"])
+        assert args.request_timeout is None
+
 
 class TestSimulateUsesEvaluatedPrefetch:
     COMMON = ["--scale", "0.01", "--disks", "16", "--max-fragments", "20000"]
@@ -594,47 +600,18 @@ class TestConfigFile:
         assert "Top fragmentation candidates" in capsys.readouterr().out
 
 
-class TestFabricCli:
-    def test_fabric_flags_parse(self):
-        args = build_parser().parse_args(
-            [
-                "recommend",
-                "--fabric",
-                "127.0.0.1:9000",
-                "--fabric-grace",
-                "5",
-                "--fabric-lease",
-                "10",
-            ]
-        )
-        assert args.fabric == "127.0.0.1:9000"
-        assert args.fabric_grace == 5.0
-        assert args.fabric_lease == 10.0
+class TestNoFabric:
+    """The sweep runs locally only: no fabric flag, config key or subcommand."""
 
-    def test_fabric_defaults_to_off(self):
-        args = build_parser().parse_args(["recommend"])
-        assert args.fabric is None
+    def test_config_engine_block_rejects_a_fabric_key(self):
+        from repro.errors import AdvisorError
+        from repro.io import engine_section_from_dict
 
-    def test_worker_subcommand_parses(self):
-        args = build_parser().parse_args(["worker", "127.0.0.1:8643"])
-        assert args.coordinator == "127.0.0.1:8643"
-        assert args.max_attempts == 30
-        assert args.connect_deadline == 60.0
+        with pytest.raises(AdvisorError, match="unknown engine option.*'fabric'"):
+            engine_section_from_dict({"engine": {"fabric": "127.0.0.1:9000"}})
 
-    def test_worker_against_dead_coordinator_exits_gracefully(self, capsys):
-        from repro.cli import main
-
-        # One attempt against a port nobody listens on: the retry budget is
-        # exhausted immediately and the worker ends without a traceback.
-        code = main(
-            ["worker", "127.0.0.1:9", "--max-attempts", "1", "--connect-deadline", "0"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "worker" in err
-
-    def test_serve_request_timeout_flag(self):
-        args = build_parser().parse_args(["serve", "--request-timeout", "30"])
-        assert args.request_timeout == 30.0
-        args = build_parser().parse_args(["serve"])
-        assert args.request_timeout is None
+    def test_recommend_fabric_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["recommend", "--fabric", "127.0.0.1:9000"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --fabric" in capsys.readouterr().err

@@ -286,14 +286,9 @@ class TestEvaluationCache:
 
 
 class TestEvaluationEngine:
-    def test_rejects_nonpositive_jobs(self, toy_schema, toy_workload, small_system):
+    def test_rejects_nonpositive_jobs(self):
         with pytest.raises(AdvisorError):
             EngineOptions(jobs=0)
-        # The deprecated kwarg validates before it warns: same error.
-        with pytest.raises(AdvisorError):
-            EvaluationEngine(toy_schema, toy_workload, small_system, jobs=0)
-        with pytest.raises(AdvisorError):
-            Warlock(toy_schema, toy_workload, small_system, jobs=0)
 
     def test_serial_matches_advisor_evaluate_spec(self, toy_advisor):
         specs, _ = toy_advisor.generate_specs()
@@ -412,12 +407,10 @@ class TestAdaptiveJobs:
         )
         assert engine.resolve_jobs(1_000_000) == 5
 
-    def test_rejects_garbage_jobs_values(self, toy_schema, toy_workload, small_system):
+    def test_rejects_garbage_jobs_values(self):
         for bad in ("fast", 1.5, -2):
             with pytest.raises(AdvisorError):
-                EvaluationEngine(toy_schema, toy_workload, small_system, jobs=bad)
-            with pytest.raises(AdvisorError):
-                Warlock(toy_schema, toy_workload, small_system, jobs=bad)
+                EngineOptions(jobs=bad)
 
     def test_auto_recommendation_matches_serial(
         self, toy_schema, toy_workload, small_system

@@ -1,7 +1,7 @@
 """The cold ``warlock`` CLI imports only what its commands need.
 
 ``import repro`` resolves its exports lazily (PEP 562), and the CLI imports
-the graph, tuning, simulation, service, fabric and lint layers, and the
+the graph, tuning, simulation, service and lint layers, and the
 process-pool machinery, only inside the subcommands or code paths that use
 them.  A fresh interpreter proves it: these tests fail as soon as a
 module-level import drags one of them back onto the recommend path.
@@ -26,7 +26,6 @@ OFF_PATH = (
     "networkx",
     "repro.graph",
     "repro.service",
-    "repro.fabric",
     "repro.lint",
     "repro.simulation",
     "repro.tuning",
