@@ -36,7 +36,7 @@ fingerprint.
 
 **Part 5 — the candidate-axis batched sweep**: class-axis vs candidate-axis
 kernels on the stock 8-class APB-1 mix (where the class-axis win broke even
-at ~1.05x), plus the warm start from the columnar candidate store;
+at ~1.05x), the candidate-axis side stacking the whole sweep in one call, plus the warm start from the columnar candidate store;
 measurements are appended to ``BENCH_e11.json``.
 
 **Part 7 — the HTTP service under concurrent load**: an
@@ -661,42 +661,31 @@ BENCH_TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BEN
 def _time_candidate_axis_sweep(layouts, matrix, system, candidate_axis, rounds=5):
     """Best-of-N wall time of the uncached cost sweep, kernels only.
 
-    Exactly the work the candidate-axis tentpole batches: access-structure
+    Exactly the work the candidate-axis path batches: access-structure
     derivation, prefetch resolution and the cost model.  The class-axis
     variant runs one python pass per candidate; the candidate-axis variant
-    stacks each axis-structure group into one (candidate × class) batch.
+    stacks the whole sweep, every axis structure at once, into one
+    (candidate × class) batch.  Also returns the number of distinct axis
+    structures the stack mixes.
     """
     from repro.costmodel import (
-        AccessStructureBatch2D,
         compute_access_structure_batch_candidates,
         evaluate_workload_batch_candidates,
         resolve_prefetch_settings_batch_candidates,
     )
 
-    groups = {}
-    for layout in layouts:
-        groups.setdefault(layout.spec.axis_structure, []).append(layout)
     best = None
     for _ in range(rounds):
         start = time.perf_counter()
         if candidate_axis:
-            # The engine's strategy: structures per axis-structure group (the
-            # unit of uniform control flow), then ONE whole-sweep stack for
-            # prefetch resolution and the cost model (purely per-candidate
-            # elementwise, so groups concatenate freely).
-            stacked_layouts = []
-            group_batches = []
-            for group in groups.values():
-                stacked_layouts.extend(group)
-                group_batches.append(
-                    compute_access_structure_batch_candidates(group, matrix)
-                )
-            structures = AccessStructureBatch2D.concat(group_batches)
+            # The engine's strategy: one fused pass per chunk — here the
+            # whole sweep is one chunk.
+            structures = compute_access_structure_batch_candidates(layouts, matrix)
             prefetches = resolve_prefetch_settings_batch_candidates(
                 structures, matrix, system
             )
             evaluate_workload_batch_candidates(
-                stacked_layouts, structures, matrix, system, prefetches
+                layouts, structures, matrix, system, prefetches
             )
         else:
             for layout in layouts:
@@ -705,7 +694,7 @@ def _time_candidate_axis_sweep(layouts, matrix, system, candidate_axis, rounds=5
                 evaluate_workload_batch(layout, structures, matrix, system, prefetch)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    return best, len(groups)
+    return best, len({layout.spec.axis_structure for layout in layouts})
 
 
 def _append_trajectory(record):
@@ -729,8 +718,8 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
 
     PR 2's class-axis vectorization measured only ~1.05x on the stock 8-class
     APB-1 mix — the per-candidate numpy dispatch overhead ate the narrow
-    class axis.  Batching whole axis-structure groups over the candidate axis
-    amortizes that overhead: asserted >= 2x over the class-axis path on the
+    class axis.  Stacking the whole sweep over the candidate axis, whatever
+    its mix of axis structures, amortizes that overhead: asserted >= 2x over the class-axis path on the
     same sweep (full mode).  The second half measures the columnar
     candidate store: a fresh advisor warm-starting from disk must beat the
     cold run (>= 1.3x full mode) with >= 90% disk hits, since it no longer
@@ -792,7 +781,7 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
     print()
     print_table(
         f"E11: candidate-axis cost sweep on APB-1 "
-        f"({len(layouts)} candidates in {num_groups} axis groups, "
+        f"({len(layouts)} candidates in {num_groups} axis structures, "
         f"{matrix.num_classes} classes, serial, uncached)",
         ["path", "time [ms]", "speedup"],
         [

@@ -1,13 +1,13 @@
 """Batched disk allocation for the candidate-axis executor.
 
-The candidate-vectorized sweep evaluates whole same-axis-structure groups as
-(candidate × class) numpy batches, but allocation used to drop back to one
-Python heap loop per candidate (:mod:`repro.allocation.greedy`).  This module
-runs the same LPT placement over a padded (candidate × fragment) page matrix
-for a whole group at once: per placement step, one ``argmin`` row picks the
-least-occupied disk of *every* candidate simultaneously, so the interpreter
-iterates ``max(fragment_count)`` times per group instead of
-``sum(fragment_count)`` times.
+The candidate-vectorized sweep evaluates whole chunks as (candidate × class)
+numpy batches, but allocation used to drop back to one Python heap loop per
+candidate (:mod:`repro.allocation.greedy`).  This module runs the same LPT
+placement over a padded (candidate × fragment) page matrix for a whole chunk
+at once: per placement step, one ``argmin`` row picks the least-occupied disk
+of *every* candidate simultaneously, so the interpreter iterates
+``max(fragment_count)`` times per chunk instead of ``sum(fragment_count)``
+times.
 
 Parity is exact, not approximate: the scalar heap pops ``(occupancy, disk)``
 tuples — the minimum occupancy, lowest disk number first — which is precisely
@@ -123,7 +123,7 @@ def choose_allocations_batch(
     bitmap_scheme: Optional[BitmapScheme] = None,
     skew_threshold_cv: float = NOTABLE_SKEW_CV,
 ) -> List[Allocation]:
-    """Scheme selection plus placement for a whole candidate group.
+    """Scheme selection plus placement for a whole candidate chunk.
 
     The per-layout decision mirrors
     :func:`~repro.allocation.chooser.choose_allocation` exactly: layouts with

@@ -41,8 +41,8 @@ class EngineOptions:
         pool has not beaten serial evaluation on any measured sweep.
     vectorize:
         Vectorization mode of the cost sweep.  ``True`` (default, alias
-        ``"candidates"``) batches whole chunks of same-axis-structure
-        candidates as (candidate × class) numpy arrays; ``"classes"``
+        ``"candidates"``) batches whole chunks of candidates, whatever their
+        axis structures, as (candidate × class) numpy arrays; ``"classes"``
         vectorizes one candidate's class axis at a time (the pre-candidate-axis
         default); ``False`` (alias ``"none"``, CLI ``--no-vectorize``) runs
         the scalar reference path.  Results are bit-identical in every mode —

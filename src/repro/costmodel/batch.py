@@ -12,18 +12,18 @@ removes those passes in two stages:
   prefetch setting and the I/O cost model vectorized over all classes of one
   candidate.
 
-* **Candidate axis** — a whole chunk of layouts sharing one *axis structure*
-  (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure` — the
-  ordered fragmentation dimensions, within which all per-class control flow
-  is uniform) stacks into (candidate × class) planes:
-  :func:`compute_access_structure_batch_candidates` derives every stacked
-  candidate's structures in one pass, and — because prefetch resolution and
-  the cost model are purely elementwise per candidate —
-  :func:`resolve_prefetch_settings_batch_candidates` /
-  :func:`evaluate_workload_batch_candidates` then run over arbitrary
-  concatenations of such stacks (:meth:`AccessStructureBatch2D.concat`), so
-  the executor fuses a whole sweep chunk into one kernel pass.  This is what
-  makes narrow mixes pay off: the class-axis win shrinks to ~1.05x at 8
+* **Candidate axis** — a whole chunk of layouts, whatever its mix of *axis
+  structures* (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure`
+  — the ordered fragmentation dimensions), stacks into (candidate × class)
+  planes.  :func:`compute_access_structure_batch_candidates` walks the axis
+  positions and gathers each candidate's own matrix row, attribute depth and
+  axis cardinality there; a candidate with fewer axes, or an axis no class
+  restricts, reads a padded unrestricted row whose factor is exactly ×1.0.
+  Prefetch resolution and the cost model are purely elementwise per
+  candidate, so :func:`resolve_prefetch_settings_batch_candidates` and
+  :func:`evaluate_workload_batch_candidates` run over the same stack, and
+  the executor evaluates a whole chunk in one fused kernel pass.  This is
+  what makes narrow mixes pay off: the class-axis win shrinks to ~1.05x at 8
   classes, while the candidate-axis batch clears 2x there (E11 part 5).
 
 Evaluations come out **columnar** (:class:`~repro.costmodel.EvaluationColumns`
@@ -49,14 +49,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CostModelError
 from repro.fragmentation import FragmentationLayout
 from repro.storage import PrefetchSetting, SystemParameters
-from repro.workload.matrix import ClassMatrix
+from repro.workload.matrix import NO_RESTRICTION, ClassMatrix
 from repro.costmodel.access import (
     SEQUENTIAL_DENSITY_THRESHOLD,
     AccessStructure,
@@ -734,42 +734,40 @@ def evaluate_workload_batch(
 #
 # The class-axis kernels above still run one Python pass per candidate; for
 # small class counts the per-candidate numpy dispatch overhead eats most of
-# the vector win.  The kernels below stack every layout of a chunk that shares
-# one *axis structure* (the ordered tuple of fragmentation dimensions — see
-# :attr:`repro.fragmentation.FragmentationSpec.axis_structure`) and evaluate
-# the whole stack as 2-D (candidate × class) arrays.  Within one axis
-# structure all per-class control flow (restricted dimensions, coarse/fine
-# masks, slot residuals) is expressible as masked vector arithmetic, so every
-# operation is the same elementwise IEEE-754 double operation the class-axis
-# (and therefore the scalar) path performs — slicing a candidate out of the
-# stack is bit-identical to evaluating it alone, which the parity suite
-# asserts.
+# the vector win.  The kernels below stack every layout of a chunk, whatever
+# its fragmentation dimensions, and evaluate the whole stack as 2-D
+# (candidate × class) arrays.  Structure derivation walks the axis
+# *positions*: at each position every candidate gathers its own matrix row,
+# attribute depth and axis cardinality, and a candidate with fewer axes (or an
+# axis no class restricts) reads a padded all-unrestricted row with
+# cardinality 1.0, whose factor is exactly ×1.0.  Every operation is the same
+# elementwise IEEE-754 double operation the class-axis (and therefore the
+# scalar) path performs, in each candidate's own spec order — slicing a
+# candidate out of the stack is bit-identical to evaluating it alone, which
+# the parity suite asserts.
 
 
 @dataclass(frozen=True)
 class _ResidualGroup2D:
     """One residual-restriction source over the (candidate × class) grid.
 
-    ``candidates is None`` marks a slot group (non-fragmentation dimension):
-    the restriction applies identically to *every* stacked candidate, and the
-    flat per-class data broadcasts over the candidate axis.  Axis groups carry
-    explicit flat ``(candidate, class)`` coordinates because the coarse/fine
-    split depends on each candidate's fragmentation level.
+    Groups are built in the scalar residual order — fragmentation axes by
+    position, then restriction slots — and carry explicit flat
+    ``(candidate, class)`` coordinates, unique within a group.
     """
 
-    #: Flat candidate coordinates (axis groups) or ``None`` (slot groups).
-    candidates: Optional[np.ndarray]
-    #: Class coordinates (flat for axis groups, unique columns for slots).
+    candidates: np.ndarray
     columns: np.ndarray
+    #: Matrix row (restricted dimension) of each coordinate.
+    rows: np.ndarray
     fractions: np.ndarray
     has_bitmap: np.ndarray
     bits_read: np.ndarray
-    attributes: Tuple[Tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
 class AccessStructureBatch2D:
-    """Access structures of all classes on a *stack* of same-axis layouts.
+    """Access structures of all classes on a *stack* of layouts.
 
     The candidate-axis twin of :class:`AccessStructureBatch`: every per-class
     vector grows a leading candidate axis, and the flat residual-index rows
@@ -828,12 +826,6 @@ class AccessStructureBatch2D:
         lo, hi = np.searchsorted(self.index_candidate, [candidate, candidate + 1])
         return slice(int(lo), int(hi))
 
-    def attributes_for(self, candidate: int, class_index: int) -> Tuple[Tuple[str, str], ...]:
-        """``bitmap_attributes_available`` of one (candidate, class) pair."""
-        key = candidate * self.num_classes + class_index
-        lo, hi = np.searchsorted(self._flat_keys, [key, key + 1])
-        return tuple(self.index_attributes[int(lo):int(hi)])
-
     def candidate(self, k: int) -> AccessStructureBatch:
         """Slice one stacked layout back into its class-axis batch."""
         rows = self._index_slice(k)
@@ -854,63 +846,6 @@ class AccessStructureBatch2D:
             index_attributes=self.index_attributes[rows],
             bitmap_pages_per_fragment=self.bitmap_pages_per_fragment[k].copy(),
             bitmap_index_counts=self.bitmap_index_counts[k].copy(),
-        )
-
-    @classmethod
-    def concat(
-        cls, batches: Sequence["AccessStructureBatch2D"]
-    ) -> "AccessStructureBatch2D":
-        """Concatenate candidate-axis batches along the candidate axis.
-
-        Everything downstream of structure derivation (prefetch resolution,
-        the cost model) is elementwise per candidate, so batches of
-        *different* axis structures concatenate freely — this is how the
-        executor fuses a whole chunk's groups into one kernel pass.  The flat
-        index rows stay candidate-major because each input batch's candidate
-        numbers are offset by the candidates before it.
-        """
-        if not batches:
-            raise CostModelError("cannot concatenate an empty batch list")
-        if len(batches) == 1:
-            return batches[0]
-        index_candidate_parts = []
-        offset = 0
-        for batch in batches:
-            index_candidate_parts.append(batch.index_candidate + offset)
-            offset += batch.num_candidates
-        index_attributes: List[Tuple[str, str]] = []
-        for batch in batches:
-            index_attributes.extend(batch.index_attributes)
-        return cls(
-            query_names=batches[0].query_names,
-            fragments_total=np.concatenate([b.fragments_total for b in batches]),
-            fragments_accessed=np.concatenate(
-                [b.fragments_accessed for b in batches]
-            ),
-            rows_in_accessed_fragments=np.concatenate(
-                [b.rows_in_accessed_fragments for b in batches]
-            ),
-            qualifying_rows=np.concatenate([b.qualifying_rows for b in batches]),
-            rows_per_fragment=np.concatenate([b.rows_per_fragment for b in batches]),
-            fact_pages_per_fragment=np.concatenate(
-                [b.fact_pages_per_fragment for b in batches]
-            ),
-            forced_full_scan=np.concatenate([b.forced_full_scan for b in batches]),
-            has_residuals=np.concatenate([b.has_residuals for b in batches]),
-            bitmap_touched_per_fragment=np.concatenate(
-                [b.bitmap_touched_per_fragment for b in batches]
-            ),
-            bitmap_density=np.concatenate([b.bitmap_density for b in batches]),
-            index_candidate=np.concatenate(index_candidate_parts),
-            index_class=np.concatenate([b.index_class for b in batches]),
-            index_pages=np.concatenate([b.index_pages for b in batches]),
-            index_attributes=tuple(index_attributes),
-            bitmap_pages_per_fragment=np.concatenate(
-                [b.bitmap_pages_per_fragment for b in batches]
-            ),
-            bitmap_index_counts=np.concatenate(
-                [b.bitmap_index_counts for b in batches]
-            ),
         )
 
     @classmethod
@@ -967,107 +902,96 @@ class AccessStructureBatch2D:
         )
 
 
-def _require_shared_axis_structure(layouts: Sequence[FragmentationLayout]) -> None:
-    if not layouts:
-        raise CostModelError("candidate-axis batching needs at least one layout")
-    structure = layouts[0].spec.axis_structure
-    for layout in layouts[1:]:
-        if layout.spec.axis_structure != structure:
-            raise CostModelError(
-                f"candidate-axis batching requires one axis structure per "
-                f"stack: {layout.spec.label} does not match {structure!r}"
-            )
+def _padded(plane: np.ndarray, fill) -> np.ndarray:
+    """``plane`` plus a trailing all-``fill`` row, addressed as row -1."""
+    return np.vstack([plane, np.full((1, plane.shape[1]), fill, dtype=plane.dtype)])
 
 
 def _axis_groups_candidates(
     layouts: Sequence[FragmentationLayout],
     matrix: ClassMatrix,
 ) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup2D]]:
-    """Fragment confinement along every axis, for the whole layout stack.
+    """Fragment confinement along every axis position, for the whole stack.
 
-    The candidate-axis twin of :func:`_axis_groups`: per-candidate attribute
-    levels become per-candidate columns, the coarse/fine split becomes a 2-D
-    mask, and every arithmetic step stays the elementwise operation of the
-    class-axis path.
+    The candidate-axis twin of :func:`_axis_groups`: at each axis position
+    every candidate gathers its own matrix row, attribute depth and axis
+    cardinality into (candidate × class) planes.  Where the candidate's
+    dimension is restricted by no class, or the candidate has fewer axes, it
+    reads the padded unrestricted row (-1); a missing axis also gets
+    cardinality 1.0, so its factor on both products is exactly ×1.0.
     """
     num_candidates = len(layouts)
     num_classes = matrix.num_classes
-    spec0 = layouts[0].spec
-    schema = layouts[0].schema
     fragments_accessed = np.ones((num_candidates, num_classes), dtype=np.float64)
     fragment_row_fraction = np.ones((num_candidates, num_classes), dtype=np.float64)
     groups: List[_ResidualGroup2D] = []
+    row_of = {name: row for row, name in enumerate(matrix.dimension_names)}
+    restricted_plane = _padded(matrix.restricted, False)
+    value_plane = _padded(matrix.value_counts, 0.0)
+    cardinality_plane = _padded(matrix.level_cardinalities, 1.0)
+    depth_plane = _padded(matrix.level_depths, NO_RESTRICTION)
+    dimensionality = max(layout.spec.dimensionality for layout in layouts)
 
-    for axis_index in range(spec0.dimensionality):
-        dimension_name = spec0.attributes[axis_index].dimension
+    for position in range(dimensionality):
+        rows = np.full(num_candidates, -1, dtype=np.int64)
         # Per-candidate axis cardinalities as an exact float64 column (the
         # integer cardinalities are far below 2**53, so the conversion — and
         # therefore every division against them — matches the scalar path).
-        cards = np.array(
-            [float(layout.axis_cardinalities[axis_index]) for layout in layouts],
-            dtype=np.float64,
-        )[:, None]
-        if dimension_name not in matrix.dimension_names:
-            # No class restricts this dimension (identical for the whole
-            # stack, since the axis structure is shared): factor of exactly
-            # 1.0 on the row fraction, as in the unrestricted scalar branch.
-            fragments_accessed = fragments_accessed * cards
-            fragment_row_fraction = fragment_row_fraction * (cards / cards)
-            continue
-
-        row = matrix.dimension_row(dimension_name)
-        restricted = matrix.restricted[row]
-        value_count = matrix.value_counts[row]
-        query_cardinality = matrix.level_cardinalities[row]
-        depth = matrix.level_depths[row]
-        dimension = schema.dimension(dimension_name)
-        attribute_depths = np.array(
-            [
-                dimension.level_index(layout.spec.attributes[axis_index].level)
-                for layout in layouts
-            ],
-            dtype=np.int64,
-        )[:, None]
+        cards = np.ones((num_candidates, 1), dtype=np.float64)
+        attribute_depths = np.zeros((num_candidates, 1), dtype=np.int64)
+        for k, layout in enumerate(layouts):
+            if position < layout.spec.dimensionality:
+                attribute = layout.spec.attributes[position]
+                cards[k, 0] = float(layout.axis_cardinalities[position])
+                row = row_of.get(attribute.dimension)
+                if row is not None:
+                    rows[k] = row
+                    attribute_depths[k, 0] = layout.schema.dimension(
+                        attribute.dimension
+                    ).level_index(attribute.level)
+        restricted = restricted_plane[rows]
+        value_count = value_plane[rows]
+        query_cardinality = cardinality_plane[rows]
+        depth = depth_plane[rows]
 
         accessed = np.broadcast_to(cards, (num_candidates, num_classes)).copy()
 
         # Restriction at or above the fragmentation level: whole fragments.
-        coarse = restricted[None, :] & (depth[None, :] <= attribute_depths)
+        coarse = restricted & (depth <= attribute_depths)
         if coarse.any():
             with np.errstate(divide="ignore", invalid="ignore"):
-                fanout = cards / query_cardinality[None, :]
+                fanout = cards / query_cardinality
                 coarse_accessed = np.minimum(
-                    cards, np.maximum(1.0, value_count[None, :] * fanout)
+                    cards, np.maximum(1.0, value_count * fanout)
                 )
             accessed = np.where(coarse, coarse_accessed, accessed)
 
         # Restriction below the fragmentation level: residual filtering.
-        fine = restricted[None, :] & (depth[None, :] > attribute_depths)
+        fine = restricted & (depth > attribute_depths)
         cand_idx, class_idx = np.nonzero(fine)
         if cand_idx.size:
-            cards_flat = cards[:, 0][cand_idx]
+            cards_flat = cards[cand_idx, 0]
+            selected = value_count[cand_idx, class_idx]
+            fine_cardinality = query_cardinality[cand_idx, class_idx]
             fine_accessed = expected_distinct_ancestors(
-                selected_values=value_count[class_idx],
-                fine_cardinality=query_cardinality[class_idx],
+                selected_values=selected,
+                fine_cardinality=fine_cardinality,
                 coarse_cardinality=cards_flat,
             )
             fine_accessed = np.minimum(cards_flat, np.maximum(1.0, fine_accessed))
             accessed[cand_idx, class_idx] = fine_accessed
-            selected_fraction = value_count[class_idx] / query_cardinality[class_idx]
+            selected_fraction = selected / fine_cardinality
             accessed_fraction = fine_accessed / cards_flat
             residual = np.minimum(1.0, selected_fraction / accessed_fraction)
-            level_names = matrix.level_names[row]
+            fine_rows = rows[cand_idx]
             groups.append(
                 _ResidualGroup2D(
                     candidates=cand_idx,
                     columns=class_idx,
+                    rows=fine_rows,
                     fractions=residual,
-                    has_bitmap=matrix.has_bitmap[row][class_idx],
-                    bits_read=matrix.bitmap_bits_read[row][class_idx],
-                    attributes=tuple(
-                        (dimension_name, level_names[column])
-                        for column in class_idx.tolist()
-                    ),
+                    has_bitmap=matrix.has_bitmap[fine_rows, class_idx],
+                    bits_read=matrix.bitmap_bits_read[fine_rows, class_idx],
                 )
             )
 
@@ -1078,40 +1002,39 @@ def _axis_groups_candidates(
 
 
 def _slot_groups_candidates(
-    spec_dimensions: Tuple[str, ...], matrix: ClassMatrix
+    layouts: Sequence[FragmentationLayout], matrix: ClassMatrix
 ) -> List[_ResidualGroup2D]:
     """Residual restrictions on non-fragmentation dimensions, slot by slot.
 
-    Identical for every candidate of the stack (slot membership depends only
-    on the shared axis structure), so the groups broadcast over the candidate
-    axis (``candidates=None``).
+    Slot membership depends on each candidate's own fragmentation
+    dimensions, so every group carries explicit ``(candidate, class)``
+    coordinates.
     """
-    row_in_spec = np.zeros(matrix.num_dimensions + 1, dtype=bool)
-    for dimension in spec_dimensions:
-        if dimension in matrix.dimension_names:
-            row_in_spec[matrix.dimension_names.index(dimension)] = True
+    # (candidate, row) -> "is one of the candidate's fragmentation
+    # dimensions".  The trailing column absorbs the NO_RESTRICTION (-1)
+    # padding entries, which the validity mask filters out anyway.
+    row_in_spec = np.zeros((len(layouts), matrix.num_dimensions + 1), dtype=bool)
+    row_of = {name: row for row, name in enumerate(matrix.dimension_names)}
+    for k, layout in enumerate(layouts):
+        for dimension in layout.spec.dimensions:
+            if dimension in row_of:
+                row_in_spec[k, row_of[dimension]] = True
     groups: List[_ResidualGroup2D] = []
     for slot in range(matrix.slot_dimensions.shape[1]):
         dimension_rows = matrix.slot_dimensions[:, slot]
-        mask = (dimension_rows >= 0) & ~row_in_spec[dimension_rows]
-        columns = np.nonzero(mask)[0]
-        if not columns.size:
+        mask = (dimension_rows >= 0) & ~row_in_spec[:, dimension_rows]
+        cand_idx, class_idx = np.nonzero(mask)
+        if not cand_idx.size:
             continue
-        rows = dimension_rows[columns]
+        rows = dimension_rows[class_idx]
         groups.append(
             _ResidualGroup2D(
-                candidates=None,
-                columns=columns,
-                fractions=matrix.restriction_selectivities[rows, columns],
-                has_bitmap=matrix.has_bitmap[rows, columns],
-                bits_read=matrix.bitmap_bits_read[rows, columns],
-                attributes=tuple(
-                    (
-                        matrix.dimension_names[row],
-                        matrix.level_names[row][column],
-                    )
-                    for row, column in zip(rows.tolist(), columns.tolist())
-                ),
+                candidates=cand_idx,
+                columns=class_idx,
+                rows=rows,
+                fractions=matrix.restriction_selectivities[rows, class_idx],
+                has_bitmap=matrix.has_bitmap[rows, class_idx],
+                bits_read=matrix.bitmap_bits_read[rows, class_idx],
             )
         )
     return groups
@@ -1122,13 +1045,14 @@ def compute_access_structure_batch_candidates(
 ) -> AccessStructureBatch2D:
     """Derive the access structures of a whole layout stack in one pass.
 
-    The candidate-axis twin of :func:`compute_access_structure_batch`: every
-    layout must share one axis structure (ordered fragmentation dimensions);
-    all per-class quantities are computed as (candidate × class) planes with
-    the identical elementwise operations, so :meth:`AccessStructureBatch2D.candidate`
+    The candidate-axis twin of :func:`compute_access_structure_batch`: the
+    layouts may mix axis structures (ordered fragmentation dimensions); all
+    per-class quantities are computed as (candidate × class) planes with the
+    identical elementwise operations, so :meth:`AccessStructureBatch2D.candidate`
     slices out batches bit-identical to the per-layout computation.
     """
-    _require_shared_axis_structure(layouts)
+    if not layouts:
+        raise CostModelError("candidate-axis batching needs at least one layout")
     num_candidates = len(layouts)
     num_classes = matrix.num_classes
     page_size = layouts[0].page_size_bytes
@@ -1138,7 +1062,7 @@ def compute_access_structure_batch_candidates(
     fragments_accessed, fragment_row_fraction, groups = _axis_groups_candidates(
         layouts, matrix
     )
-    groups.extend(_slot_groups_candidates(layouts[0].spec.dimensions, matrix))
+    groups.extend(_slot_groups_candidates(layouts, matrix))
 
     rows_in_accessed = row_count * fragment_row_fraction
     qualifying_rows = row_count * np.asarray(matrix.selectivities, dtype=np.float64)[None, :]
@@ -1168,61 +1092,30 @@ def compute_access_structure_batch_candidates(
     has_residuals = np.zeros((num_candidates, num_classes), dtype=bool)
     index_cand_parts: List[np.ndarray] = []
     index_class_parts: List[np.ndarray] = []
+    index_row_parts: List[np.ndarray] = []
     index_pages_parts: List[np.ndarray] = []
-    index_attributes: List[Tuple[str, str]] = []
     for group in groups:
-        if group.candidates is None:
-            # Slot group: one per-class row broadcast over every candidate.
-            columns = group.columns
-            has_residuals[:, columns] = True
-            residual_selectivity[:, columns] *= np.minimum(1.0, group.fractions)[
-                None, :
-            ]
-            no_index = ~group.has_bitmap
-            forced_full_scan[:, columns[no_index]] = True
-            indexed = np.nonzero(group.has_bitmap)[0]
-            if not indexed.size:
-                continue
-            indexed_columns = columns[indexed]
-            block = rows_per_fragment[:, indexed_columns]
-            pages = np.where(
-                block > 0,
-                np.maximum(
-                    1.0,
-                    np.ceil(group.bits_read[indexed][None, :] * block / 8.0 / page_size),
-                ),
-                0.0,
-            )
-            index_cand_parts.append(
-                np.repeat(np.arange(num_candidates, dtype=np.int64), indexed.size)
-            )
-            index_class_parts.append(np.tile(indexed_columns, num_candidates))
-            index_pages_parts.append(pages.reshape(-1))
-            group_attributes = [group.attributes[i] for i in indexed.tolist()]
-            index_attributes.extend(group_attributes * num_candidates)
-        else:
-            # Axis group: explicit flat (candidate, class) coordinates.
-            cand, cols = group.candidates, group.columns
-            has_residuals[cand, cols] = True
-            residual_selectivity[cand, cols] *= np.minimum(1.0, group.fractions)
-            no_index = ~group.has_bitmap
-            forced_full_scan[cand[no_index], cols[no_index]] = True
-            indexed = np.nonzero(group.has_bitmap)[0]
-            if not indexed.size:
-                continue
-            flat_rows = rows_per_fragment[cand[indexed], cols[indexed]]
-            pages = np.where(
-                flat_rows > 0,
-                np.maximum(
-                    1.0,
-                    np.ceil(group.bits_read[indexed] * flat_rows / 8.0 / page_size),
-                ),
-                0.0,
-            )
-            index_cand_parts.append(cand[indexed])
-            index_class_parts.append(cols[indexed])
-            index_pages_parts.append(pages)
-            index_attributes.extend(group.attributes[i] for i in indexed.tolist())
+        cand, cols = group.candidates, group.columns
+        has_residuals[cand, cols] = True
+        residual_selectivity[cand, cols] *= np.minimum(1.0, group.fractions)
+        no_index = ~group.has_bitmap
+        forced_full_scan[cand[no_index], cols[no_index]] = True
+        indexed = np.nonzero(group.has_bitmap)[0]
+        if not indexed.size:
+            continue
+        flat_rows = rows_per_fragment[cand[indexed], cols[indexed]]
+        pages = np.where(
+            flat_rows > 0,
+            np.maximum(
+                1.0,
+                np.ceil(group.bits_read[indexed] * flat_rows / 8.0 / page_size),
+            ),
+            0.0,
+        )
+        index_cand_parts.append(cand[indexed])
+        index_class_parts.append(cols[indexed])
+        index_row_parts.append(group.rows[indexed])
+        index_pages_parts.append(pages)
 
     if index_cand_parts:
         # Sort the flat rows candidate-major, class within, stably — exactly
@@ -1230,18 +1123,22 @@ def compute_access_structure_batch_candidates(
         # scalar accumulation order.
         index_candidate = np.concatenate(index_cand_parts)
         index_class = np.concatenate(index_class_parts)
-        index_pages = np.concatenate(index_pages_parts)
-        order = np.argsort(
-            index_candidate * num_classes + index_class, kind="stable"
-        )
+        order = np.argsort(index_candidate * num_classes + index_class, kind="stable")
         index_candidate = index_candidate[order]
         index_class = index_class[order]
-        index_pages = index_pages[order]
-        index_attributes = [index_attributes[i] for i in order.tolist()]
+        index_rows = np.concatenate(index_row_parts)[order]
+        index_pages = np.concatenate(index_pages_parts)[order]
+        dimension_names = matrix.dimension_names
+        level_names = matrix.level_names
+        index_attributes = tuple(
+            (dimension_names[row], level_names[row][column])
+            for row, column in zip(index_rows.tolist(), index_class.tolist())
+        )
     else:
         index_candidate = np.empty(0, dtype=np.int64)
         index_class = np.empty(0, dtype=np.int64)
         index_pages = np.empty(0, dtype=np.float64)
+        index_attributes = ()
 
     bitmap_pages_per_fragment = np.zeros(
         (num_candidates, num_classes), dtype=np.float64
@@ -1286,7 +1183,7 @@ def compute_access_structure_batch_candidates(
         index_candidate=index_candidate,
         index_class=index_class,
         index_pages=index_pages,
-        index_attributes=tuple(index_attributes),
+        index_attributes=index_attributes,
         bitmap_pages_per_fragment=bitmap_pages_per_fragment,
         bitmap_index_counts=bitmap_index_counts,
     )
@@ -1558,11 +1455,22 @@ def evaluate_workload_batch_candidates(
     cube[..., -2] = io_cost
     cube[..., -1] = response
 
+    # Bitmap attributes of every (candidate, class) on a bitmap plan: one
+    # vector lookup of each pair's flat-index run, then tuple slices.
+    attributes_used: List[List[Tuple[Tuple[str, str], ...]]] = [
+        [()] * num_classes for _ in range(num_candidates)
+    ]
+    used_candidates, used_classes = np.nonzero(profiles.use_bitmap_plan)
+    keys = used_candidates * num_classes + used_classes
+    starts = np.searchsorted(structures._flat_keys, keys, side="left")
+    ends = np.searchsorted(structures._flat_keys, keys, side="right")
+    for k, c, lo, hi in zip(
+        used_candidates.tolist(), used_classes.tolist(), starts.tolist(), ends.tolist()
+    ):
+        attributes_used[k][c] = structures.index_attributes[lo:hi]
+
     evaluations: List[WorkloadEvaluation] = []
     for k in range(num_candidates):
-        attributes_used = [()] * num_classes
-        for c in np.nonzero(profiles.use_bitmap_plan[k])[0].tolist():
-            attributes_used[c] = structures.attributes_for(k, c)
         columns = EvaluationColumns(
             query_names=matrix.query_names,
             weights=matrix.shares,
@@ -1571,7 +1479,7 @@ def evaluate_workload_batch_candidates(
             disks_used=disks_used[k].copy(),
             sequential=profiles.sequential_fact_access[k].copy(),
             forced=structures.forced_full_scan[k].copy(),
-            attributes_used=tuple(attributes_used),
+            attributes_used=tuple(attributes_used[k]),
         )
         evaluations.append(
             WorkloadEvaluation(

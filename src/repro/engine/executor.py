@@ -12,11 +12,12 @@ recommendations to ``jobs=1`` (the parity test matrix asserts this).
 
 Three cost paths implement the same model (``EngineOptions.vectorize``):
 
-* the **candidate-axis path** (``"candidates"``, default) groups each chunk
-  by the specs' axis structure, stacks every group's layouts into one
-  (candidate × class) numpy batch for structure derivation, and fuses the
-  whole chunk — prefetch resolution and the cost model are elementwise per
-  candidate — into a single kernel pass (:mod:`repro.costmodel.batch`);
+* the **candidate-axis path** (``"candidates"``, default) stacks every
+  layout of a chunk, whatever the mix of axis structures, into one
+  (candidate × class) numpy batch and evaluates the chunk in one fused
+  pass: one call each to the structure kernel, LPT allocation, prefetch
+  resolution and the cost model (:mod:`repro.costmodel.batch`).  Serial
+  chunks are cost-balanced sets of about 8 to 16 candidates;
 * the **class-axis path** (``"classes"``) computes one candidate's access
   structures and costs for *all* query classes as numpy vectors over the
   class axis;
@@ -76,14 +77,6 @@ __all__ = [
     "evaluate_specs_in_context",
 ]
 
-#: Serial candidate-axis chunk cap: one axis-structure group is the natural
-#: batching unit, but a sweep dominated by a single structure must still hit
-#: progress/cancellation boundaries at a bounded latency.  16 candidates keeps
-#: near-full batch width (the kernels saturate well below that) while staying
-#: close to the one-candidate granularity of the non-batched serial path.
-MAX_SERIAL_GROUP_CHUNK = 16
-
-
 @dataclass(frozen=True)
 class EngineContext:
     """Everything a worker needs to evaluate candidates (picklable)."""
@@ -96,9 +89,9 @@ class EngineContext:
     bitmap_scheme: BitmapScheme
     specs: Tuple[FragmentationSpec, ...] = ()
     #: Vectorization mode of the cost sweep: ``"candidates"`` batches whole
-    #: same-axis-structure chunks as (candidate × class) numpy arrays,
-    #: ``"classes"`` vectorizes one candidate's class axis, ``"none"`` runs
-    #: the scalar reference path.  All modes return bit-identical candidates.
+    #: chunks as (candidate × class) numpy arrays, ``"classes"`` vectorizes
+    #: one candidate's class axis, ``"none"`` runs the scalar reference path.
+    #: All modes return bit-identical candidates.
     vectorize: str = "candidates"
     #: Columnar workload compilation for the vectorized modes (shipped once
     #: per worker with the context).
@@ -192,14 +185,13 @@ def evaluate_specs_in_context(
 ) -> List[FragmentationCandidate]:
     """Evaluate a chunk of candidate indices, candidate-axis batched.
 
-    In ``vectorize="candidates"`` mode the chunk is grouped by axis structure
-    (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure`) and each
-    group's layouts are stacked into one (candidate × class) numpy batch —
-    structures, prefetch resolution and costs computed in one vector pass,
-    bit-identical to evaluating each spec alone (the parity suite pins this).
-    Other modes fall back to the per-spec path.  Cache semantics match the
-    per-spec path exactly: one candidate probe per index, one structure probe
-    per evaluated layout.
+    In ``vectorize="candidates"`` mode every uncached layout of the chunk,
+    whatever its axis structure, is stacked into one (candidate × class)
+    numpy batch — structures, allocation, prefetch resolution and costs
+    computed in one fused pass, bit-identical to evaluating each spec alone
+    (the parity suite pins this).  Other modes fall back to the per-spec
+    path.  Cache semantics match the per-spec path exactly: one candidate
+    probe per index, one structure probe per evaluated layout.
     """
     if context.vectorize != "candidates" or context.class_matrix is None:
         return [
@@ -216,47 +208,29 @@ def evaluate_specs_in_context(
                 continue
         pending.append(index)
     if pending:
+        # One fused pass over the whole chunk, whatever its mix of axis
+        # structures: one structure kernel call, one LPT allocation pass over
+        # the chunk's padded (candidate × fragment) page matrix, one prefetch
+        # resolution and one cost-model call — each bit-identical, per
+        # candidate, to evaluating the spec alone.
         matrix = context.class_matrix
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for index in pending:
-            groups.setdefault(context.specs[index].axis_structure, []).append(index)
-        # Access structures are computed per axis-structure group (the unit
-        # within which the per-class control flow is uniform); everything
-        # downstream — prefetch resolution and the cost model — is purely
-        # elementwise per candidate, so the whole chunk stacks into ONE
-        # (candidate × class) batch regardless of its group mix.
-        order: List[int] = []
-        group_batches: List[AccessStructureBatch2D] = []
-        layouts = []
-        allocations = []
-        for group in groups.values():
-            order.extend(group)
-            group_layouts = [
-                build_layout(
-                    context.schema,
-                    context.specs[index],
-                    fact_table=context.fact_name,
-                    page_size_bytes=context.system.page_size_bytes,
-                    max_fragments=max(context.config.max_fragments, 1),
-                )
-                for index in group
-            ]
-            layouts.extend(group_layouts)
-            group_batches.append(
-                _group_structure_batch(context, group_layouts, matrix, cache)
+        layouts = [
+            build_layout(
+                context.schema,
+                context.specs[index],
+                fact_table=context.fact_name,
+                page_size_bytes=context.system.page_size_bytes,
+                max_fragments=max(context.config.max_fragments, 1),
             )
-            # Disk placement is batched per group as well: one LPT pass over
-            # the group's padded (candidate × fragment) page matrix, bit-
-            # identical to the per-candidate choose_allocation reference.
-            allocations.extend(
-                choose_allocations_batch(
-                    group_layouts,
-                    context.system,
-                    context.bitmap_scheme,
-                    skew_threshold_cv=context.config.allocation_skew_cv,
-                )
-            )
-        batch = AccessStructureBatch2D.concat(group_batches)
+            for index in pending
+        ]
+        batch = _structure_batch(context, layouts, matrix, cache)
+        allocations = choose_allocations_batch(
+            layouts,
+            context.system,
+            context.bitmap_scheme,
+            skew_threshold_cv=context.config.allocation_skew_cv,
+        )
         prefetches = resolve_prefetch_settings_batch_candidates(
             batch, matrix, context.system
         )
@@ -264,7 +238,7 @@ def evaluate_specs_in_context(
             layouts, batch, matrix, context.system, prefetches
         )
         for index, layout, prefetch, evaluation, allocation in zip(
-            order, layouts, prefetches, evaluations, allocations
+            pending, layouts, prefetches, evaluations, allocations
         ):
             spec = context.specs[index]
             candidate = FragmentationCandidate(
@@ -281,19 +255,19 @@ def evaluate_specs_in_context(
     return [results[index] for index in indices]
 
 
-def _group_structure_batch(
+def _structure_batch(
     context: EngineContext,
     layouts: Sequence[Any],
     matrix: ClassMatrix,
     cache: Optional[EvaluationCache],
 ) -> AccessStructureBatch2D:
-    """The stacked structure batch of one axis-structure group.
+    """The stacked structure batch of one chunk.
 
     Per-layout cache probes (same counter semantics as the class-axis path);
     all misses are computed as ONE stacked batch, and per-layout slices feed
     the cache — the slices are bit-identical to per-layout computation, so
     cross-mode and cross-run cache sharing stays exact.  On an all-miss
-    (cold) group the freshly stacked batch is returned directly, so the
+    (cold) chunk the freshly stacked batch is returned directly, so the
     common cold path never pays a slice-then-restack round trip.
     """
     if cache is None:
@@ -548,11 +522,12 @@ class EvaluationEngine:
         one (an explicit ``jobs=N``; ``"auto"`` resolves to serial).
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
-        completed plan chunk (each candidate is its own chunk on the serial
-        path); ``cancel`` — a :class:`repro.api.CancellationToken` or a
-        zero-argument callable — is checked at the same chunk boundaries and
-        raises :class:`~repro.errors.EvaluationCancelled` when set.  Entries
-        cached before a cancel stay valid (they are content-addressed), so a
+        completed plan chunk (about 8 to 16 candidates on the serial
+        candidate-axis path, one candidate on the other serial paths);
+        ``cancel`` — a :class:`repro.api.CancellationToken` or a zero-argument
+        callable — is checked at the same chunk boundaries and raises
+        :class:`~repro.errors.EvaluationCancelled` when set.  Entries cached
+        before a cancel stay valid (they are content-addressed), so a
         retried sweep resumes warm.
         """
         plan = self.plan(specs)
@@ -637,11 +612,13 @@ class EvaluationEngine:
         preloaded: Optional[Dict[int, FragmentationCandidate]] = None,
         degraded: bool = False,
     ) -> List[FragmentationCandidate]:
-        # Serial chunk granularity: one axis-structure group (capped, so a
-        # sweep dominated by one structure still cancels and reports at a
-        # bounded latency) in candidate-axis mode, one candidate otherwise —
-        # the finest boundaries at which cancellation can stop without
-        # discarding work.
+        # Serial chunk granularity: in candidate-axis mode, cost-balanced
+        # chunks of about ceil(n/16) candidates, clamped to 8..16, each one
+        # fused kernel pass.  The floor keeps small sweeps from splitting into
+        # passes too narrow to amortize the kernels' fixed cost; the cap
+        # bounds progress/cancellation latency and the padded allocation
+        # matrix.  Otherwise one candidate per chunk — the finest boundary at
+        # which cancellation can stop without discarding work.
         #
         # ``preloaded`` carries candidates a failed parallel backend already
         # completed: the degraded retry covers only the remainder, and its
@@ -653,9 +630,8 @@ class EvaluationEngine:
                 results[index] = candidate
             pending = [index for index in pending if results[index] is None]
         if context.vectorize == "candidates" and context.class_matrix is not None:
-            chunks = plan.axis_groups(
-                indices=pending, max_size=MAX_SERIAL_GROUP_CHUNK
-            )
+            size = min(16, max(8, -(-len(pending) // 16)))
+            chunks = plan.partition_indices(pending, max(1, -(-len(pending) // size)))
         else:
             chunks = [[index] for index in pending]
         total = plan.num_candidates

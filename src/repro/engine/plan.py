@@ -125,10 +125,8 @@ class EvaluationPlan:
         """Candidate indices grouped by their spec's axis structure.
 
         Groups preserve first-seen sweep order, and indices within a group
-        stay in sweep order — the unit at which the candidate-axis executor
-        stacks layouts into one (candidate × class) batch
-        (:mod:`repro.costmodel.batch`) and the serial executor reports
-        progress / honours cancellation.
+        stay in sweep order — the unit :meth:`partition_indices` assigns to
+        pool workers with ``by_axis_structure=True``.
 
         A positive ``max_size`` splits larger groups into consecutive
         group-pure sub-chunks of at most that many candidates: batching is a

@@ -10,8 +10,7 @@ by the exclusion thresholds of :mod:`repro.core.thresholds`.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import FragmentationError
 from repro.schema import FactTable, StarSchema
@@ -90,10 +89,21 @@ def enumerate_point_fragmentations(
     if include_baseline:
         yield FragmentationSpec.none()
 
-    for combination in product(*choices):
-        attributes = tuple(attr for attr in combination if attr is not None)
-        if not attributes:
-            continue
-        if max_dimensions is not None and len(attributes) > max_dimensions:
-            continue
-        yield FragmentationSpec(attributes)
+    # Depth-first over the dimensions: "skip" first, then each level — the
+    # order of ``product(*choices)`` — but a branch stops adding attributes
+    # once ``max_dimensions`` are chosen instead of visiting every
+    # combination.
+    limit = len(choices) if max_dimensions is None else max_dimensions
+
+    def walk(
+        depth: int, chosen: Tuple[FragmentationAttribute, ...]
+    ) -> Iterator[FragmentationSpec]:
+        if depth == len(choices) or len(chosen) == limit:
+            if chosen:
+                yield FragmentationSpec(chosen)
+            return
+        yield from walk(depth + 1, chosen)
+        for attribute in choices[depth][1:]:
+            yield from walk(depth + 1, chosen + (attribute,))
+
+    yield from walk(0, ())

@@ -213,7 +213,7 @@ class FragmentationLayout:
     @cached_property
     def fragment_size_cv(self) -> float:
         """Coefficient of variation of fragment sizes (0 without skew)."""
-        return coefficient_of_variation(self.fragment_rows.tolist())
+        return coefficient_of_variation(self.fragment_rows)
 
     @cached_property
     def average_fragment_rows(self) -> float:

@@ -108,15 +108,15 @@ class FragmentationSpec:
 
     @cached_property
     def axis_structure(self) -> Tuple[str, ...]:
-        """The candidate-axis batching key: fragmentation dimensions in order.
+        """The fragmentation dimensions in order: the pool's grouping key.
 
         Two specs share an axis structure exactly when they fragment the same
-        dimensions in the same order (their *levels* may differ).  Within one
-        axis structure, every per-class control-flow decision of the batched
-        cost kernels (restricted dimensions, slot residuals) is identical, so
-        the engine stacks such candidates into one (candidate × class) numpy
-        batch (:mod:`repro.costmodel.batch`).  Memoized like :attr:`label` —
-        the engine groups every chunk of every sweep by it.
+        dimensions in the same order (their *levels* may differ).  The
+        candidate-axis kernels (:mod:`repro.costmodel.batch`) stack any mix
+        of axis structures; the process pool still keeps same-structure
+        candidates on one worker
+        (:meth:`~repro.engine.plan.EvaluationPlan.partition_indices`).
+        Memoized like :attr:`label`.
         """
         return self.dimensions
 

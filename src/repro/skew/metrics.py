@@ -11,7 +11,7 @@ These metrics are used in two places:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,8 +25,11 @@ __all__ = [
 ]
 
 
-def _as_array(values: Sequence[float]) -> np.ndarray:
-    array = np.asarray(list(values), dtype=float)
+def _as_array(values: Union[Sequence[float], np.ndarray]) -> np.ndarray:
+    # An ndarray converts directly: same float64s as its list round trip.
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    array = np.asarray(values, dtype=float)
     if array.size == 0:
         raise CostModelError("metric requires at least one value")
     if np.any(array < 0):
@@ -34,7 +37,7 @@ def _as_array(values: Sequence[float]) -> np.ndarray:
     return array
 
 
-def coefficient_of_variation(values: Sequence[float]) -> float:
+def coefficient_of_variation(values: Union[Sequence[float], np.ndarray]) -> float:
     """Standard deviation divided by the mean (0 for perfectly balanced input).
 
     The population standard deviation is used.  A zero mean (all values zero)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+from itertools import product
 
-from repro import FragmentationAttribute, FragmentationSpec, enumerate_point_fragmentations
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import (
+    FragmentationAttribute,
+    FragmentationSpec,
+    enumerate_point_fragmentations,
+    synthetic_schema,
+)
 from repro.errors import FragmentationError
 from repro.fragmentation import count_point_fragmentations
 
@@ -121,3 +129,47 @@ class TestEnumeration:
         first = [spec.label for spec in enumerate_point_fragmentations(toy_schema)]
         second = [spec.label for spec in enumerate_point_fragmentations(toy_schema)]
         assert first == second
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_dimensions=st.integers(min_value=1, max_value=5),
+        levels=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=50),
+        max_dimensions=st.sampled_from([None, 0, 1, 2, 3]),
+        include_baseline=st.booleans(),
+    )
+    def test_order_matches_filtered_product(
+        self, num_dimensions, levels, seed, max_dimensions, include_baseline
+    ):
+        # The pruned depth-first walk yields exactly the filtered
+        # product() sequence: same specs, same order.
+        schema = synthetic_schema(
+            num_dimensions=num_dimensions,
+            levels_per_dimension=levels,
+            bottom_cardinality=60,
+            seed=seed,
+        )
+        choices = [
+            [None]
+            + [
+                FragmentationAttribute(dimension, level.name)
+                for level in schema.dimension(dimension).levels
+            ]
+            for dimension in schema.fact_table().dimension_names
+        ]
+        expected = [FragmentationSpec.none().label] if include_baseline else []
+        for combination in product(*choices):
+            attributes = tuple(a for a in combination if a is not None)
+            if attributes and (
+                max_dimensions is None or len(attributes) <= max_dimensions
+            ):
+                expected.append(FragmentationSpec(attributes).label)
+        labels = [
+            spec.label
+            for spec in enumerate_point_fragmentations(
+                schema,
+                max_dimensions=max_dimensions,
+                include_baseline=include_baseline,
+            )
+        ]
+        assert labels == expected

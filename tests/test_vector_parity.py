@@ -235,15 +235,11 @@ class TestCandidateAxisHypothesisSweep:
     @PARITY_SETTINGS
     @given(data=st.data())
     def test_stacked_kernels_are_bit_identical_per_candidate(self, data):
-        import numpy as np
-
         schema, workload, system, spec, scheme = _scenario(data.draw)
         advisor = Warlock(
             schema, workload, system, AdvisorConfig(max_fragments=MAX_FRAGMENTS)
         )
         specs, _ = advisor.generate_specs()
-        # The drawn spec's whole axis-structure group, stacked.
-        group = [s for s in specs if s.axis_structure == spec.axis_structure]
         layouts = [
             build_layout(
                 schema,
@@ -251,57 +247,91 @@ class TestCandidateAxisHypothesisSweep:
                 page_size_bytes=system.page_size_bytes,
                 max_fragments=MAX_FRAGMENTS,
             )
-            for member in group
+            for member in specs
         ]
         matrix = ClassMatrix.compile(schema, workload, scheme)
-        stacked = compute_access_structure_batch_candidates(layouts, matrix)
-        prefetches = resolve_prefetch_settings_batch_candidates(
-            stacked, matrix, system
+        # The drawn spec's whole axis-structure group, stacked...
+        _assert_stack_matches_class_axis(
+            [
+                layout
+                for layout in layouts
+                if layout.spec.axis_structure == spec.axis_structure
+            ],
+            matrix,
+            system,
         )
-        evaluations = evaluate_workload_batch_candidates(
-            layouts, stacked, matrix, system, prefetches
-        )
+        # ...and the whole sweep, every axis structure in one stack.
+        _assert_stack_matches_class_axis(layouts, matrix, system)
 
-        references = []
-        for k, layout in enumerate(layouts):
-            reference = compute_access_structure_batch(layout, matrix)
-            references.append(reference)
-            sliced = stacked.candidate(k)
-            for field in dataclasses.fields(reference):
-                ours = getattr(reference, field.name)
-                theirs = getattr(sliced, field.name)
-                if isinstance(ours, np.ndarray):
-                    assert ours.dtype == theirs.dtype, field.name
-                    assert np.array_equal(ours, theirs), (
-                        f"{layout.spec.label}: {field.name}"
-                    )
-                else:
-                    assert ours == theirs, f"{layout.spec.label}: {field.name}"
-            # Prefetch resolution: batched granule selection == per-layout.
-            assert prefetches[k] == resolve_prefetch_setting_batch(
-                reference, matrix, system
-            )
-            # Full per-class records and cached totals.
-            expected = evaluate_workload_batch(
-                layout, reference, matrix, system, prefetches[k]
-            )
-            assert expected.per_class == evaluations[k].per_class
-            assert expected.total_io_cost_ms == evaluations[k].total_io_cost_ms
-            assert (
-                expected.total_response_time_ms
-                == evaluations[k].total_response_time_ms
-            )
 
-        # stack() (the cache-mixing path) rebuilds the identical 2-D batch.
-        restacked = AccessStructureBatch2D.stack(references)
-        for field in dataclasses.fields(stacked):
-            ours = getattr(stacked, field.name)
-            theirs = getattr(restacked, field.name)
+def _assert_stack_matches_class_axis(layouts, matrix, system) -> None:
+    """Every slice of one stacked pass == the per-layout class-axis result.
+
+    Structures, resolved prefetch settings, access profiles and full
+    evaluations are compared bitwise; ``stack()`` of the per-layout batches
+    must rebuild the identical 2-D batch.
+    """
+    import numpy as np
+
+    from repro.costmodel import estimate_access_batch_candidates
+
+    stacked = compute_access_structure_batch_candidates(layouts, matrix)
+    prefetches = resolve_prefetch_settings_batch_candidates(stacked, matrix, system)
+    evaluations = evaluate_workload_batch_candidates(
+        layouts, stacked, matrix, system, prefetches
+    )
+    ppe = _positioning_page_equivalent(system)
+    profiles = estimate_access_batch_candidates(
+        stacked,
+        np.array([p.fact_pages for p in prefetches], dtype=np.float64),
+        np.array([p.bitmap_pages for p in prefetches], dtype=np.float64),
+        ppe,
+    )
+
+    references = []
+    for k, layout in enumerate(layouts):
+        label = layout.spec.label
+        reference = compute_access_structure_batch(layout, matrix)
+        references.append(reference)
+        sliced = stacked.candidate(k)
+        for field in dataclasses.fields(reference):
+            ours = getattr(reference, field.name)
+            theirs = getattr(sliced, field.name)
             if isinstance(ours, np.ndarray):
                 assert ours.dtype == theirs.dtype, field.name
-                assert np.array_equal(ours, theirs), field.name
+                assert np.array_equal(ours, theirs), f"{label}: {field.name}"
             else:
-                assert ours == theirs, field.name
+                assert ours == theirs, f"{label}: {field.name}"
+        # Prefetch resolution: batched granule selection == per-layout.
+        assert prefetches[k] == resolve_prefetch_setting_batch(
+            reference, matrix, system
+        )
+        expected_profiles = estimate_access_batch(reference, prefetches[k], ppe)
+        sliced_profiles = profiles.candidate(k)
+        for i in range(matrix.num_classes):
+            _assert_fields_equal(
+                expected_profiles.profile(i), sliced_profiles.profile(i), label
+            )
+        # Full per-class records and cached totals.
+        expected = evaluate_workload_batch(
+            layout, reference, matrix, system, prefetches[k]
+        )
+        assert expected.per_class == evaluations[k].per_class
+        assert expected.total_io_cost_ms == evaluations[k].total_io_cost_ms
+        assert (
+            expected.total_response_time_ms == evaluations[k].total_response_time_ms
+        )
+
+    # stack() (the cache-mixing path) rebuilds the identical 2-D batch.
+    restacked = AccessStructureBatch2D.stack(references)
+    for field in dataclasses.fields(stacked):
+        ours = getattr(stacked, field.name)
+        theirs = getattr(restacked, field.name)
+        if isinstance(ours, np.ndarray):
+            assert ours.dtype == theirs.dtype, field.name
+            assert np.array_equal(ours, theirs), field.name
+        else:
+            assert ours == theirs, field.name
 
 
 def _advisor_inputs():
@@ -621,27 +651,30 @@ class TestCandidateAxisGuards:
         ]
         return layouts, matrix, system
 
-    def test_mixed_axis_structures_are_rejected(self):
+    def test_mixed_axis_structure_stack_matches_class_axis(self):
+        from repro.datasets import apb1_query_mix, apb1_schema
         from repro.errors import CostModelError
 
-        layouts, matrix, _ = self._layouts()
-        mixed = [layouts[0], next(
-            layout
-            for layout in layouts
-            if layout.spec.axis_structure != layouts[0].spec.axis_structure
-        )]
-        with pytest.raises(CostModelError):
-            compute_access_structure_batch_candidates(mixed, matrix)
+        # The whole APB-1 sweep: one stack mixing every axis structure.
+        schema, workload = apb1_schema(scale=0.02), apb1_query_mix()
+        system = SystemParameters(num_disks=32)
+        advisor = Warlock(schema, workload, system)
+        specs, _ = advisor.generate_specs()
+        layouts = [
+            build_layout(schema, spec, page_size_bytes=system.page_size_bytes)
+            for spec in specs
+        ]
+        assert len({layout.spec.axis_structure for layout in layouts}) > 1
+        matrix = ClassMatrix.compile(schema, workload, advisor.design_bitmaps())
+        _assert_stack_matches_class_axis(layouts, matrix, system)
         with pytest.raises(CostModelError):
             compute_access_structure_batch_candidates([], matrix)
 
-    def test_empty_stack_and_concat_are_rejected(self):
+    def test_empty_structure_stack_is_rejected(self):
         from repro.errors import CostModelError
 
         with pytest.raises(CostModelError):
             AccessStructureBatch2D.stack([])
-        with pytest.raises(CostModelError):
-            AccessStructureBatch2D.concat([])
 
     def test_profile_slices_match_class_axis_profiles(self):
         import numpy as np
