@@ -8,7 +8,7 @@ threshold, the greedy scheme is used.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.allocation.greedy import greedy_size_allocation
 from repro.allocation.placement import Allocation
@@ -18,7 +18,7 @@ from repro.errors import AllocationError
 from repro.fragmentation import FragmentationLayout
 from repro.storage import SystemParameters
 
-__all__ = ["choose_allocation", "NOTABLE_SKEW_CV"]
+__all__ = ["choose_allocation", "choose_allocations_batch", "NOTABLE_SKEW_CV"]
 
 #: Fragment-size coefficient of variation above which skew is considered
 #: "notable" and the greedy size-based scheme is preferred.
@@ -40,10 +40,31 @@ def choose_allocation(
     skew_threshold_cv:
         Fragment-size CV above which the greedy size-based scheme is used.
     """
+    _check_threshold(skew_threshold_cv)
+    if layout.fragment_size_cv > skew_threshold_cv:
+        return greedy_size_allocation(layout, system, bitmap_scheme)
+    return round_robin_allocation(layout, system, bitmap_scheme)
+
+
+def choose_allocations_batch(
+    layouts: Sequence[FragmentationLayout],
+    system: SystemParameters,
+    bitmap_scheme: Optional[BitmapScheme] = None,
+    skew_threshold_cv: float = NOTABLE_SKEW_CV,
+) -> List[Allocation]:
+    """:func:`choose_allocation` for every layout of a candidate chunk.
+
+    The threshold is validated once, also for an empty chunk.
+    """
+    _check_threshold(skew_threshold_cv)
+    return [
+        choose_allocation(layout, system, bitmap_scheme, skew_threshold_cv)
+        for layout in layouts
+    ]
+
+
+def _check_threshold(skew_threshold_cv: float) -> None:
     if skew_threshold_cv < 0:
         raise AllocationError(
             f"skew_threshold_cv must be non-negative, got {skew_threshold_cv}"
         )
-    if layout.fragment_size_cv > skew_threshold_cv:
-        return greedy_size_allocation(layout, system, bitmap_scheme)
-    return round_robin_allocation(layout, system, bitmap_scheme)

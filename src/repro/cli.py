@@ -582,8 +582,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["candidates", "classes", "none"],
         default=None,
         help="vectorization mode of the cost sweep: 'candidates' (default) "
-        "batches whole same-structure candidate chunks as 2-D numpy arrays, "
-        "'classes' vectorizes one candidate's class axis at a time, 'none' "
+        "batches whole candidate chunks, any mix of axis structures, as 2-D "
+        "numpy arrays, 'classes' vectorizes one candidate's class axis at a time, 'none' "
         "runs the scalar reference path; all modes are bit-identical "
         "(--no-vectorize wins over this flag)",
     )

@@ -15,9 +15,9 @@ Three cost paths implement the same model (``EngineOptions.vectorize``):
 * the **candidate-axis path** (``"candidates"``, default) stacks every
   layout of a chunk, whatever the mix of axis structures, into one
   (candidate × class) numpy batch and evaluates the chunk in one fused
-  pass: one call each to the structure kernel, LPT allocation, prefetch
-  resolution and the cost model (:mod:`repro.costmodel.batch`).  Serial
-  chunks are cost-balanced sets of about 8 to 16 candidates;
+  pass: one call each to the structure kernel, the allocation chooser,
+  prefetch resolution and the cost model (:mod:`repro.costmodel.batch`).
+  Serial chunks are cost-balanced sets of about 8 to 16 candidates;
 * the **class-axis path** (``"classes"``) computes one candidate's access
   structures and costs for *all* query classes as numpy vectors over the
   class axis;
@@ -209,10 +209,10 @@ def evaluate_specs_in_context(
         pending.append(index)
     if pending:
         # One fused pass over the whole chunk, whatever its mix of axis
-        # structures: one structure kernel call, one LPT allocation pass over
-        # the chunk's padded (candidate × fragment) page matrix, one prefetch
-        # resolution and one cost-model call — each bit-identical, per
-        # candidate, to evaluating the spec alone.
+        # structures: one structure kernel call, one allocation call (the
+        # scalar chooser per layout), one prefetch resolution and one
+        # cost-model call — each bit-identical, per candidate, to evaluating
+        # the spec alone.
         matrix = context.class_matrix
         layouts = [
             build_layout(
@@ -616,8 +616,8 @@ class EvaluationEngine:
         # chunks of about ceil(n/16) candidates, clamped to 8..16, each one
         # fused kernel pass.  The floor keeps small sweeps from splitting into
         # passes too narrow to amortize the kernels' fixed cost; the cap
-        # bounds progress/cancellation latency and the padded allocation
-        # matrix.  Otherwise one candidate per chunk — the finest boundary at
+        # bounds progress and cancellation latency.  Otherwise one candidate
+        # per chunk — the finest boundary at
         # which cancellation can stop without discarding work.
         #
         # ``preloaded`` carries candidates a failed parallel backend already

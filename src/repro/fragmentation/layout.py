@@ -11,7 +11,7 @@ analysis layer (database statistics, fragment size distributions).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,8 +29,9 @@ __all__ = ["dimension_row_shares", "build_layout", "FragmentationLayout"]
 DEFAULT_MAX_FRAGMENTS = 2_000_000
 
 
+@lru_cache(maxsize=256)
 def dimension_row_shares(dimension: Dimension, level: str) -> np.ndarray:
-    """Row share of each value of ``dimension.level``.
+    """Row share of each value of ``dimension.level`` (memoized, read-only).
 
     The schema model attaches Zipf-like skew to the *bottom* level of a
     dimension.  Shares at a coarser level are obtained by aggregating the
@@ -39,11 +40,21 @@ def dimension_row_shares(dimension: Dimension, level: str) -> np.ndarray:
     children on average, and hierarchical containment maps every bottom value
     to exactly one ancestor.
 
+    ``Dimension`` is a frozen, hashable value, so every layout of a sweep
+    that fragments on the same level shares one vector; it is returned
+    read-only so no caller can corrupt the memo.
+
     Returns
     -------
     numpy.ndarray
-        Vector of length ``card(level)`` summing to 1.0.
+        Read-only vector of length ``card(level)`` summing to 1.0.
     """
+    shares = _row_shares(dimension, level)
+    shares.setflags(write=False)
+    return shares
+
+
+def _row_shares(dimension: Dimension, level: str) -> np.ndarray:
     level_obj = dimension.level(level)
     bottom = dimension.bottom_level
     if not dimension.skew.is_skewed:
