@@ -16,9 +16,11 @@ thousands of (candidate × query class) work units):
 * **warm** — a repeated sweep against the already-populated cache, the shape
   every what-if tuning iteration takes.
 
-**Part 2 — the vectorized class-axis sweep** on APB-1: the per-candidate cost
+**Part 2 — the vectorized per-layout sweep** on APB-1: the per-candidate cost
 sweep (access structures, prefetch resolution, per-class costs) timed scalar
-vs vectorized over all surviving candidates, on the stock 8-class APB-1 mix
+vs the single-layout vectorized entry points (the kernels on a stack of one
+layout, the path every what-if and tuning study takes) over all surviving
+candidates, on the stock 8-class APB-1 mix
 and on a widened 40-class APB-1-style mix (the class count whose per-class
 scalar passes the PR 1 profile flagged as the dominant serial cost).
 
@@ -34,9 +36,11 @@ fingerprint.
 **Part 4 — the session delta chain**: one ``AdvisorSession`` absorbs a
 5-edit what-if chain against 5 cold advisors (see the test docstring).
 
-**Part 5 — the candidate-axis batched sweep**: class-axis vs candidate-axis
-kernels on the stock 8-class APB-1 mix (where the class-axis win broke even
-at ~1.05x), the candidate-axis side stacking the whole sweep in one call, plus the warm start from the columnar candidate store;
+**Part 5 — the candidate-axis batched sweep**: per-layout calls vs one
+stacked call of the same kernels on the stock 8-class APB-1 mix (where the
+per-layout vectorized win breaks even at ~1.05x), the stacked side covering
+the whole sweep in one call, plus the warm start from the columnar candidate
+store;
 measurements are appended to ``BENCH_e11.json``.
 
 **Part 7 — the HTTP service under concurrent load**: an
@@ -115,7 +119,7 @@ QUICK = dict(dimensions=5, bottom=200, classes=8, max_fragments=20_000, min_cand
 
 JOBS = 4
 
-#: APB-1 configuration of the class-axis sweep experiment.
+#: APB-1 configuration of the per-layout sweep experiment.
 APB_SCALE = 0.2
 APB_DISKS = 64
 #: Widening factor: each APB-1 class is replicated with growing IN-list
@@ -248,7 +252,7 @@ def test_e11_parallel_engine_speedup_and_parity(benchmark, quick):
 
 
 # ---------------------------------------------------------------------------
-# Part 2: the vectorized class-axis sweep on APB-1
+# Part 2: the vectorized per-layout sweep on APB-1
 # ---------------------------------------------------------------------------
 
 def _widened_apb1_mix(schema, widen: int) -> QueryMix:
@@ -280,13 +284,12 @@ def _widened_apb1_mix(schema, widen: int) -> QueryMix:
     return QueryMix(classes)
 
 
-def _time_class_axis_sweep(layouts, workload, scheme, system, vectorize, rounds=5):
+def _time_per_layout_sweep(layouts, workload, scheme, system, vectorize, rounds=5):
     """Best-of-N wall time of the uncached per-candidate cost sweep.
 
-    This is exactly the work the tentpole vectorized: access-structure
-    derivation, prefetch resolution and the per-class cost model for every
-    candidate (layout materialization and allocation are identical in both
-    paths and excluded).
+    Access-structure derivation, prefetch resolution and the per-class cost
+    model for every candidate, one layout per call (layout materialization
+    and allocation are identical in both paths and excluded).
     """
     model = IOCostModel(system, validate_queries=False)
     matrix = ClassMatrix.compile(layouts[0].schema, workload, scheme)
@@ -309,7 +312,7 @@ def _time_class_axis_sweep(layouts, workload, scheme, system, vectorize, rounds=
     return best
 
 
-def test_e11_vectorized_class_axis_sweep(quick):
+def test_e11_vectorized_per_layout_sweep(quick):
     """Scalar vs vectorized serial cost sweep on APB-1 (8 and 40 classes)."""
     schema = apb1_schema(scale=0.05 if quick else APB_SCALE)
     system = SystemParameters(num_disks=APB_DISKS)
@@ -345,8 +348,8 @@ def test_e11_vectorized_class_axis_sweep(quick):
         (wide_label, wide_mix),
     ):
         mix_scheme = Warlock(schema, workload, system, config).design_bitmaps()
-        scalar_s = _time_class_axis_sweep(layouts, workload, mix_scheme, system, False)
-        vector_s = _time_class_axis_sweep(layouts, workload, mix_scheme, system, True)
+        scalar_s = _time_per_layout_sweep(layouts, workload, mix_scheme, system, False)
+        vector_s = _time_per_layout_sweep(layouts, workload, mix_scheme, system, True)
         ratios[label] = scalar_s / vector_s
         rows.append(
             [
@@ -358,7 +361,7 @@ def test_e11_vectorized_class_axis_sweep(quick):
         )
     print()
     print_table(
-        f"E11: class-axis cost sweep on APB-1 ({len(layouts)} candidates, serial, uncached)",
+        f"E11: per-layout cost sweep on APB-1 ({len(layouts)} candidates, serial, uncached)",
         ["workload", "scalar [ms]", "vectorized [ms]", "speedup"],
         rows,
     )
@@ -384,7 +387,7 @@ def test_e11_vectorized_class_axis_sweep(quick):
     # The vectorized win grows with the class axis; on the 40-class APB-1
     # sweep it must clear 3x (measured ~3.5x on the reference container).
     assert ratios[wide_label] >= 3.0, (
-        f"vectorized class-axis sweep only {ratios[wide_label]:.2f}x over "
+        f"vectorized per-layout sweep only {ratios[wide_label]:.2f}x over "
         f"scalar on the 40-class APB-1 mix"
     )
 
@@ -662,10 +665,10 @@ def _time_candidate_axis_sweep(layouts, matrix, system, candidate_axis, rounds=5
     """Best-of-N wall time of the uncached cost sweep, kernels only.
 
     Exactly the work the candidate-axis path batches: access-structure
-    derivation, prefetch resolution and the cost model.  The class-axis
-    variant runs one python pass per candidate; the candidate-axis variant
-    stacks the whole sweep, every axis structure at once, into one
-    (candidate × class) batch.  Also returns the number of distinct axis
+    derivation, prefetch resolution and the cost model.  The per-layout
+    variant calls the single-layout entry points once per candidate; the
+    candidate-axis variant stacks the whole sweep, every axis structure at
+    once, into one (candidate × class) batch.  Also returns the number of distinct axis
     structures the stack mixes.
     """
     from repro.costmodel import (
@@ -714,13 +717,14 @@ def _append_trajectory(record):
 
 
 def test_e11_candidate_axis_sweep(quick, tmp_path):
-    """Part 5: candidate-axis batching where the class-axis win broke even.
+    """Part 5: candidate-axis batching where per-layout vectorization breaks even.
 
-    PR 2's class-axis vectorization measured only ~1.05x on the stock 8-class
-    APB-1 mix — the per-candidate numpy dispatch overhead ate the narrow
-    class axis.  Stacking the whole sweep over the candidate axis, whatever
-    its mix of axis structures, amortizes that overhead: asserted >= 2x over the class-axis path on the
-    same sweep (full mode).  The second half measures the columnar
+    Vectorizing one layout at a time gains only ~1.05x over the scalar path
+    on the stock 8-class APB-1 mix (part 2) — the per-candidate numpy
+    dispatch overhead eats the narrow class axis.  Stacking the whole sweep
+    over the candidate axis, whatever its mix of axis structures, amortizes
+    that overhead: asserted >= 2x over the per-layout calls on the same
+    sweep (full mode).  The second half measures the columnar
     candidate store: a fresh advisor warm-starting from disk must beat the
     cold run (>= 1.3x full mode) with >= 90% disk hits, since it no longer
     unpickles one candidate blob per spec nor re-derives the exclusion
@@ -745,11 +749,11 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
         for spec in specs
     ]
 
-    class_axis_s, _ = _time_candidate_axis_sweep(layouts, matrix, system, False)
+    per_layout_s, _ = _time_candidate_axis_sweep(layouts, matrix, system, False)
     candidate_axis_s, num_groups = _time_candidate_axis_sweep(
         layouts, matrix, system, True
     )
-    kernel_ratio = class_axis_s / candidate_axis_s
+    kernel_ratio = per_layout_s / candidate_axis_s
 
     # -- columnar warm start: cold advisor spills, fresh advisor loads ---------
     store = tmp_path / "columnar-store"
@@ -769,14 +773,14 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
         recommendation_fingerprint(
             Warlock(
                 schema, mix, system, config,
-                options=EngineOptions(cache=False, vectorize=mode),
+                options=EngineOptions(cache=False, vectorize=vectorize),
             ).recommend()
         )
-        for mode in ("none", "classes", "candidates")
+        for vectorize in (False, True)
     }
     fingerprints.add(recommendation_fingerprint(cold_rec))
     fingerprints.add(recommendation_fingerprint(warm_rec))
-    assert len(fingerprints) == 1, "candidate-axis modes disagree"
+    assert len(fingerprints) == 1, "vectorized and scalar paths disagree"
 
     print()
     print_table(
@@ -785,7 +789,8 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
         f"{matrix.num_classes} classes, serial, uncached)",
         ["path", "time [ms]", "speedup"],
         [
-            ["class-axis (per-candidate)", f"{class_axis_s * 1000:.1f}", "1.00x"],
+            ["per-layout (one call per candidate)", f"{per_layout_s * 1000:.1f}",
+             "1.00x"],
             ["candidate-axis (stacked)", f"{candidate_axis_s * 1000:.1f}",
              f"{kernel_ratio:.2f}x"],
         ],
@@ -807,7 +812,7 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
             "candidates": len(layouts),
             "axis_groups": num_groups,
             "classes": matrix.num_classes,
-            "class_axis_ms": round(class_axis_s * 1000, 3),
+            "per_layout_ms": round(per_layout_s * 1000, 3),
             "candidate_axis_ms": round(candidate_axis_s * 1000, 3),
             "kernel_speedup": round(kernel_ratio, 3),
             "cold_s": round(cold_s, 4),
@@ -820,12 +825,11 @@ def test_e11_candidate_axis_sweep(quick, tmp_path):
     assert warm_stats.disk_hit_rate >= 0.9
     if quick:
         return
-    # The candidate-axis batch must clear 2x over the class-axis path on the
-    # 8-class sweep where PR 2 broke even (measured ~2.5x on the reference
-    # container).
+    # The candidate-axis batch must clear 2x over the per-layout calls on the
+    # 8-class sweep where per-layout vectorization breaks even.
     assert kernel_ratio >= 2.0, (
-        f"candidate-axis sweep only {kernel_ratio:.2f}x over class-axis "
-        f"({candidate_axis_s * 1000:.1f}ms vs {class_axis_s * 1000:.1f}ms)"
+        f"candidate-axis sweep only {kernel_ratio:.2f}x over per-layout calls "
+        f"({candidate_axis_s * 1000:.1f}ms vs {per_layout_s * 1000:.1f}ms)"
     )
     # The columnar store + persisted exclusion report must push the
     # warm-from-disk ratio past the format-1 level (asserted conservatively).

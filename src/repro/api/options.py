@@ -17,10 +17,6 @@ from repro.errors import AdvisorError
 
 __all__ = ["EngineOptions"]
 
-#: Normalized vectorization modes (see :attr:`EngineOptions.vectorize_mode`).
-_VECTORIZE_MODES = ("none", "classes", "candidates")
-
-
 def _validate_jobs(jobs: Union[int, str]) -> None:
     if jobs != "auto" and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
         raise AdvisorError(
@@ -38,15 +34,15 @@ class EngineOptions:
         Worker processes for candidate sweeps.  ``1`` (default) evaluates
         serially in-process, higher values use a process pool with guaranteed
         result parity, ``"auto"`` (the CLI default) evaluates serially: the
-        pool has not beaten serial evaluation on any measured sweep.
+        pool has not beaten serial evaluation on any measured sweep.  Pool
+        workers are spawned, so a script must start pooled sweeps under
+        ``if __name__ == "__main__":``.
     vectorize:
-        Vectorization mode of the cost sweep.  ``True`` (default, alias
-        ``"candidates"``) batches whole chunks of candidates, whatever their
-        axis structures, as (candidate × class) numpy arrays; ``"classes"``
-        vectorizes one candidate's class axis at a time (the pre-candidate-axis
-        default); ``False`` (alias ``"none"``, CLI ``--no-vectorize``) runs
-        the scalar reference path.  Results are bit-identical in every mode —
-        see :attr:`vectorize_mode` for the normalized value.
+        ``True`` (default) runs the cost sweep on the vectorized kernels:
+        whole chunks of candidates, whatever their axis structures, as
+        (candidate × class) numpy arrays, and single specs as a stack of one.
+        ``False`` (CLI ``--no-vectorize``) runs the scalar reference path.
+        Results are bit-identical either way.
     cache:
         ``True`` (default) memoizes access structures and whole candidate
         evaluations in an :class:`~repro.engine.EvaluationCache`; ``False``
@@ -73,7 +69,7 @@ class EngineOptions:
     """
 
     jobs: Union[int, str] = 1
-    vectorize: Union[bool, str] = True
+    vectorize: bool = True
     cache: bool = True
     cache_dir: Optional[str] = None
     persist: bool = True
@@ -81,14 +77,7 @@ class EngineOptions:
 
     def __post_init__(self) -> None:
         _validate_jobs(self.jobs)
-        if not isinstance(self.vectorize, bool) and self.vectorize not in (
-            _VECTORIZE_MODES
-        ):
-            raise AdvisorError(
-                f"EngineOptions.vectorize must be a bool or one of "
-                f"{sorted(_VECTORIZE_MODES)}, got {self.vectorize!r}"
-            )
-        for name in ("cache", "persist"):
+        for name in ("vectorize", "cache", "persist"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise AdvisorError(
@@ -123,19 +112,6 @@ class EngineOptions:
                 )
 
     # -- derivation -------------------------------------------------------------
-
-    @property
-    def vectorize_mode(self) -> str:
-        """The normalized vectorization mode: ``none``/``classes``/``candidates``.
-
-        The boolean aliases map ``True`` → ``"candidates"`` (the fully batched
-        default) and ``False`` → ``"none"`` (the scalar reference path).
-        """
-        if self.vectorize is True:
-            return "candidates"
-        if self.vectorize is False:
-            return "none"
-        return self.vectorize
 
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (re-validated)."""
@@ -176,15 +152,7 @@ class EngineOptions:
 
     def describe(self) -> str:
         """One-line summary used by logs and the CLI."""
-        mode = self.vectorize_mode
-        parts = [
-            f"jobs={self.jobs}",
-            {
-                "none": "scalar",
-                "classes": "vectorized (class axis)",
-                "candidates": "vectorized",
-            }[mode],
-        ]
+        parts = [f"jobs={self.jobs}", "vectorized" if self.vectorize else "scalar"]
         if not self.cache:
             parts.append("uncached")
         elif self.cache_dir:

@@ -7,6 +7,12 @@ For every fragmentation candidate the model predicts
 
 for each query class of the workload and aggregated over the weighted mix.
 The twofold metric feeds the advisor's ranking heuristic.
+
+Two implementations of the one model live here: the scalar reference
+(:func:`compute_access_structure`, :func:`estimate_access`,
+:class:`IOCostModel`) and the vectorized kernels over (candidate × class)
+stacks (:mod:`repro.costmodel.batch`; the ``*_batch`` names run them on a
+stack of one layout).  They are bit-identical.
 """
 
 from repro.costmodel.formulas import (
@@ -37,7 +43,6 @@ from repro.costmodel.batch import (
     AccessStructureBatch2D,
     compute_access_structure_batch,
     compute_access_structure_batch_candidates,
-    estimate_access_batch,
     estimate_access_batch_candidates,
     evaluate_workload_batch,
     evaluate_workload_batch_candidates,
@@ -60,7 +65,6 @@ __all__ = [
     "AccessStructureBatch2D",
     "compute_access_structure_batch",
     "compute_access_structure_batch_candidates",
-    "estimate_access_batch",
     "estimate_access_batch_candidates",
     "evaluate_workload_batch",
     "evaluate_workload_batch_candidates",

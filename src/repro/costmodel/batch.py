@@ -1,54 +1,55 @@
-"""Batched cost estimation over the class axis and the candidate axis.
+"""Vectorized cost estimation over a stack of layouts: (candidate × class).
 
 The scalar path (:mod:`repro.costmodel.access` / :mod:`repro.costmodel.model`)
 evaluates one (candidate, query class) pair per call; the advisor's sweep
-therefore pays ~``num_classes`` Python passes per candidate.  This module
-removes those passes in two stages:
+would therefore pay ``num_classes`` Python passes per candidate.  This module
+is the one vectorized implementation of the same model:
 
-* **Class axis** — a :class:`~repro.workload.ClassMatrix` supplies the
-  workload in columnar form, :func:`compute_access_structure_batch` derives
-  every class's prefetch-independent access structure in one shot, and
-  :func:`estimate_access_batch` / :func:`evaluate_workload_batch` apply the
-  prefetch setting and the I/O cost model vectorized over all classes of one
-  candidate.
-
-* **Candidate axis** — a whole chunk of layouts, whatever its mix of *axis
-  structures* (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure`
-  — the ordered fragmentation dimensions), stacks into (candidate × class)
-  planes.  :func:`compute_access_structure_batch_candidates` walks the axis
-  positions and gathers each candidate's own matrix row, attribute depth and
-  axis cardinality there; a candidate with fewer axes, or an axis no class
-  restricts, reads a padded unrestricted row whose factor is exactly ×1.0.
-  Prefetch resolution and the cost model are purely elementwise per
+* a :class:`~repro.workload.ClassMatrix` supplies the workload in columnar
+  form;
+* a whole chunk of layouts, whatever its mix of *axis structures*
+  (:attr:`~repro.fragmentation.FragmentationSpec.axis_structure` — the
+  ordered fragmentation dimensions), stacks into (candidate × class) planes.
+  :func:`compute_access_structure_batch_candidates` walks the axis positions
+  and gathers each candidate's own matrix row, attribute depth and axis
+  cardinality there; a candidate with fewer axes, or an axis no class
+  restricts, reads a padded unrestricted row whose factor is exactly ×1.0;
+* prefetch resolution and the cost model are purely elementwise per
   candidate, so :func:`resolve_prefetch_settings_batch_candidates` and
-  :func:`evaluate_workload_batch_candidates` run over the same stack, and
-  the executor evaluates a whole chunk in one fused kernel pass.  This is
-  what makes narrow mixes pay off: the class-axis win shrinks to ~1.05x at 8
-  classes, while the candidate-axis batch clears 2x there (E11 part 5).
+  :func:`evaluate_workload_batch_candidates` run over the same stack, and the
+  executor evaluates a whole chunk in one fused kernel pass.
+
+Single-spec evaluation (what-ifs, tuning studies) runs the same kernels on a
+stack of one layout: :func:`compute_access_structure_batch`,
+:func:`resolve_prefetch_setting_batch` and :func:`evaluate_workload_batch`
+are those one-layout entry points.  :class:`AccessStructureBatch` — one
+layout's slice of a stack — is the unit the evaluation cache and the
+persistent store hold.
 
 Evaluations come out **columnar** (:class:`~repro.costmodel.EvaluationColumns`
 inside :class:`~repro.costmodel.WorkloadEvaluation`): per-class records are
 lazy views, so the sweep materializes no per-class Python objects at all.
 
-**Bit-parity contract.** The batched paths are the *same model*, not an
+**Bit-parity contract.** The vectorized path is the *same model*, not an
 approximation: every vector expression performs the identical IEEE-754 double
 operations in the identical order as its scalar counterpart (down to routing
 ``pow`` through CPython floats, see
 :func:`repro.costmodel.formulas._elementwise_pow`, and accumulating ragged
 per-index sums with ``np.add.at`` in scalar iteration order; stacked flat
-rows stay candidate-major so each candidate's slice replays the class-axis
-order).  The scalar path stays as the reference implementation;
+rows stay candidate-major so each candidate's slice replays the per-class
+residual order).  The scalar path stays as the reference implementation;
 ``tests/test_vector_parity.py`` sweeps random layouts, bitmap schemes and
 prefetch settings and asserts field-by-field equality of
 :class:`~repro.costmodel.QueryAccessProfile` and
-:class:`~repro.costmodel.QueryCost` across all three paths, per class and per
-stacked candidate slice.
+:class:`~repro.costmodel.QueryCost` between the scalar path and the kernels,
+per class and per stacked candidate slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +57,7 @@ import numpy as np
 from repro.errors import CostModelError
 from repro.fragmentation import FragmentationLayout
 from repro.storage import PrefetchSetting, SystemParameters
-from repro.workload.matrix import NO_RESTRICTION, ClassMatrix
+from repro.workload.matrix import ClassMatrix
 from repro.costmodel.access import (
     SEQUENTIAL_DENSITY_THRESHOLD,
     AccessStructure,
@@ -68,7 +69,6 @@ from repro.costmodel.model import (
     EvaluationColumns,
     WorkloadEvaluation,
     _positioning_page_equivalent,
-    prefetch_setting_from_runs,
 )
 
 __all__ = [
@@ -78,36 +78,12 @@ __all__ = [
     "AccessProfileBatch2D",
     "compute_access_structure_batch",
     "compute_access_structure_batch_candidates",
-    "estimate_access_batch",
     "estimate_access_batch_candidates",
     "resolve_prefetch_setting_batch",
     "resolve_prefetch_settings_batch_candidates",
     "evaluate_workload_batch",
     "evaluate_workload_batch_candidates",
 ]
-
-
-@dataclass(frozen=True)
-class _ResidualGroup:
-    """One residual-restriction source, compressed to the classes it affects.
-
-    The scalar path evaluates a class's residual restrictions in a fixed
-    order: fragmentation-axis residuals in spec order, then restrictions on
-    non-fragmentation dimensions in the class's restriction order.  Groups are
-    built in exactly that order, so iterating groups replays the scalar
-    per-class residual order for every class simultaneously.
-    """
-
-    #: Class indices this group restricts (ascending).
-    columns: np.ndarray
-    #: Residual fraction per affected class.
-    fractions: np.ndarray
-    #: Bitmap-index availability per affected class.
-    has_bitmap: np.ndarray
-    #: Bits read per fact row off the index, per affected class.
-    bits_read: np.ndarray
-    #: Restricted (dimension, level) per affected class.
-    attributes: Tuple[Tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -151,15 +127,6 @@ class AccessStructureBatch:
         return len(self.query_names)
 
     @cached_property
-    def bitmap_plan_available(self) -> np.ndarray:
-        """Per-class: residual filtering can run entirely off bitmap indexes."""
-        return (
-            self.has_residuals
-            & ~self.forced_full_scan
-            & (self.bitmap_index_counts > 0)
-        )
-
-    @cached_property
     def _index_rows_by_class(self) -> Tuple[Tuple[int, ...], ...]:
         rows: List[List[int]] = [[] for _ in range(self.num_classes)]
         for position, class_index in enumerate(self.index_class.tolist()):
@@ -200,10 +167,6 @@ class AccessStructureBatch:
             bitmap_density=float(self.bitmap_density[class_index]),
         )
 
-    def structures(self) -> Tuple[AccessStructure, ...]:
-        """All per-class access structures, in mix order."""
-        return tuple(self.structure(i) for i in range(self.num_classes))
-
 
 @dataclass(frozen=True)
 class AccessProfileBatch:
@@ -222,11 +185,6 @@ class AccessProfileBatch:
     fact_pages_transferred: np.ndarray
     sequential_fact_access: np.ndarray
     use_bitmap_plan: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        """Number of query classes in the batch."""
-        return self.structures.num_classes
 
     def profile(self, class_index: int) -> QueryAccessProfile:
         """Materialize the scalar :class:`QueryAccessProfile` of one class."""
@@ -259,492 +217,20 @@ class AccessProfileBatch:
             bitmap_attributes_used=attributes,
         )
 
-    def profiles(self) -> Tuple[QueryAccessProfile, ...]:
-        """All per-class profiles, in mix order."""
-        return tuple(self.profile(i) for i in range(self.num_classes))
-
-
-def _axis_groups(
-    layout: FragmentationLayout,
-    matrix: ClassMatrix,
-) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup]]:
-    """Vectorized fragment confinement along every fragmentation axis.
-
-    Returns ``(fragments_accessed, fragment_row_fraction, residual_groups)``
-    where the residual groups cover the fragmentation-axis residuals in spec
-    order (the scalar `_axis_access` loop, all classes at once).
-    """
-    num_classes = matrix.num_classes
-    fragments_accessed = np.ones(num_classes, dtype=np.float64)
-    fragment_row_fraction = np.ones(num_classes, dtype=np.float64)
-    groups: List[_ResidualGroup] = []
-
-    for axis_index in range(layout.spec.dimensionality):
-        attribute = layout.spec.attributes[axis_index]
-        frag_cardinality = layout.axis_cardinalities[axis_index]
-        frag_cardinality_f = float(frag_cardinality)
-        if attribute.dimension not in matrix.dimension_names:
-            # No class restricts this dimension: every class touches every
-            # fragment value, contributing a factor of exactly 1.0 to the row
-            # fraction — identical to the scalar unrestricted branch.
-            fragments_accessed = fragments_accessed * frag_cardinality_f
-            fragment_row_fraction = fragment_row_fraction * (
-                frag_cardinality_f / frag_cardinality
-            )
-            continue
-
-        row = matrix.dimension_row(attribute.dimension)
-        restricted = matrix.restricted[row]
-        value_count = matrix.value_counts[row]
-        query_cardinality = matrix.level_cardinalities[row]
-        depth = matrix.level_depths[row]
-        attribute_depth = layout.schema.dimension(attribute.dimension).level_index(
-            attribute.level
-        )
-
-        accessed = np.full(num_classes, frag_cardinality_f, dtype=np.float64)
-
-        # Restriction at or above the fragmentation level: whole fragments.
-        coarse = restricted & (depth <= attribute_depth)
-        if coarse.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fanout = frag_cardinality / query_cardinality
-                coarse_accessed = np.minimum(
-                    frag_cardinality_f, np.maximum(1.0, value_count * fanout)
-                )
-            accessed = np.where(coarse, coarse_accessed, accessed)
-
-        # Restriction below the fragmentation level: residual filtering.
-        fine = restricted & (depth > attribute_depth)
-        fine_columns = np.nonzero(fine)[0]
-        if fine_columns.size:
-            fine_accessed = expected_distinct_ancestors(
-                selected_values=value_count[fine_columns],
-                fine_cardinality=query_cardinality[fine_columns],
-                coarse_cardinality=frag_cardinality_f,
-            )
-            fine_accessed = np.minimum(
-                frag_cardinality_f, np.maximum(1.0, fine_accessed)
-            )
-            accessed[fine_columns] = fine_accessed
-            selected_fraction = value_count[fine_columns] / query_cardinality[fine_columns]
-            accessed_fraction = fine_accessed / frag_cardinality
-            residual = np.minimum(1.0, selected_fraction / accessed_fraction)
-            level_names = matrix.level_names[row]
-            groups.append(
-                _ResidualGroup(
-                    columns=fine_columns,
-                    fractions=residual,
-                    has_bitmap=matrix.has_bitmap[row][fine_columns],
-                    bits_read=matrix.bitmap_bits_read[row][fine_columns],
-                    attributes=tuple(
-                        (attribute.dimension, level_names[column])
-                        for column in fine_columns.tolist()
-                    ),
-                )
-            )
-
-        fragments_accessed = fragments_accessed * accessed
-        fragment_row_fraction = fragment_row_fraction * (accessed / frag_cardinality)
-
-    return fragments_accessed, fragment_row_fraction, groups
-
-
-def _slot_groups(
-    layout: FragmentationLayout, matrix: ClassMatrix
-) -> List[_ResidualGroup]:
-    """Residual restrictions on non-fragmentation dimensions, slot by slot.
-
-    Iterating restriction slots in order replays, for every class at once, the
-    scalar loop ``for restriction in query.restrictions`` that appends
-    non-fragmentation residuals in restriction order.
-    """
-    # O(1) membership lookup: row index -> "is a fragmentation dimension".
-    # The trailing slot absorbs the NO_RESTRICTION (-1) padding entries, which
-    # the validity mask filters out anyway.
-    row_in_spec = np.zeros(matrix.num_dimensions + 1, dtype=bool)
-    for dimension in layout.spec.dimensions:
-        if dimension in matrix.dimension_names:
-            row_in_spec[matrix.dimension_names.index(dimension)] = True
-    groups: List[_ResidualGroup] = []
-    for slot in range(matrix.slot_dimensions.shape[1]):
-        dimension_rows = matrix.slot_dimensions[:, slot]
-        mask = (dimension_rows >= 0) & ~row_in_spec[dimension_rows]
-        columns = np.nonzero(mask)[0]
-        if not columns.size:
-            continue
-        rows = dimension_rows[columns]
-        groups.append(
-            _ResidualGroup(
-                columns=columns,
-                fractions=matrix.restriction_selectivities[rows, columns],
-                has_bitmap=matrix.has_bitmap[rows, columns],
-                bits_read=matrix.bitmap_bits_read[rows, columns],
-                attributes=tuple(
-                    (
-                        matrix.dimension_names[row],
-                        matrix.level_names[row][column],
-                    )
-                    for row, column in zip(rows.tolist(), columns.tolist())
-                ),
-            )
-        )
-    return groups
-
-
-def compute_access_structure_batch(
-    layout: FragmentationLayout, matrix: ClassMatrix
-) -> AccessStructureBatch:
-    """Derive every class's prefetch-independent access structure at once.
-
-    The vectorized twin of
-    :func:`~repro.costmodel.compute_access_structure`: same model, same
-    operation order, one numpy pass over the class axis instead of
-    ``num_classes`` scalar calls.  The workload is assumed validated (the
-    advisor and the engine validate it once at construction).
-    """
-    num_classes = matrix.num_classes
-    page_size = layout.page_size_bytes
-    rows_per_page = layout.rows_per_page
-    row_count = layout.fact.row_count
-
-    fragments_accessed, fragment_row_fraction, groups = _axis_groups(layout, matrix)
-    groups.extend(_slot_groups(layout, matrix))
-
-    rows_in_accessed = row_count * fragment_row_fraction
-    qualifying_rows = row_count * np.asarray(matrix.selectivities, dtype=np.float64)
-    qualifying_rows = np.minimum(qualifying_rows, rows_in_accessed)
-
-    non_positive = fragments_accessed <= 0
-    if non_positive.any():
-        failing = int(np.nonzero(non_positive)[0][0])
-        raise CostModelError(
-            f"query {matrix.query_names[failing]!r} accesses no fragments on "
-            f"{layout.spec.label}"
-        )
-
-    rows_per_fragment = rows_in_accessed / fragments_accessed
-    with np.errstate(invalid="ignore"):
-        fact_pages_per_fragment = np.where(
-            rows_per_fragment > 0,
-            np.maximum(1.0, np.ceil(rows_per_fragment / rows_per_page)),
-            0.0,
-        )
-
-    # --- residual filtering: bitmap extents and selectivity, group order ---------
-    residual_selectivity = np.ones(num_classes, dtype=np.float64)
-    forced_full_scan = np.zeros(num_classes, dtype=bool)
-    has_residuals = np.zeros(num_classes, dtype=bool)
-    index_class_parts: List[np.ndarray] = []
-    index_pages_parts: List[np.ndarray] = []
-    index_attributes: List[Tuple[str, str]] = []
-    for group in groups:
-        columns = group.columns
-        has_residuals[columns] = True
-        residual_selectivity[columns] *= np.minimum(1.0, group.fractions)
-        no_index = ~group.has_bitmap
-        forced_full_scan[columns[no_index]] = True
-        indexed = np.nonzero(group.has_bitmap)[0]
-        if not indexed.size:
-            continue
-        indexed_columns = columns[indexed]
-        pages = np.where(
-            rows_per_fragment[indexed_columns] > 0,
-            np.maximum(
-                1.0,
-                np.ceil(
-                    group.bits_read[indexed]
-                    * rows_per_fragment[indexed_columns]
-                    / 8.0
-                    / page_size
-                ),
-            ),
-            0.0,
-        )
-        index_class_parts.append(indexed_columns)
-        index_pages_parts.append(pages)
-        index_attributes.extend(group.attributes[i] for i in indexed.tolist())
-
-    if index_class_parts:
-        # Flat residual-index rows.  Sorting by class (stable) turns the
-        # group-major order into class-major order while preserving each
-        # class's residual order — the order the scalar path accumulates in.
-        index_class = np.concatenate(index_class_parts)
-        index_pages = np.concatenate(index_pages_parts)
-        order = np.argsort(index_class, kind="stable")
-        index_class = index_class[order]
-        index_pages = index_pages[order]
-        index_attributes = [index_attributes[i] for i in order.tolist()]
-    else:
-        index_class = np.empty(0, dtype=np.int64)
-        index_pages = np.empty(0, dtype=np.float64)
-
-    bitmap_pages_per_fragment = np.zeros(num_classes, dtype=np.float64)
-    np.add.at(bitmap_pages_per_fragment, index_class, index_pages)
-    bitmap_index_counts = np.bincount(
-        index_class, minlength=num_classes
-    ).astype(np.int64)
-
-    # --- fact pages a bitmap-driven plan would touch (Cardenas) ------------------
-    qualifying_per_fragment = rows_per_fragment * residual_selectivity
-    touched_per_fragment = cardenas_pages(
-        total_rows=rows_per_fragment,
-        total_pages=fact_pages_per_fragment,
-        selected_rows=qualifying_per_fragment,
-    )
-    touched_per_fragment = np.minimum(
-        fact_pages_per_fragment, np.maximum(0.0, touched_per_fragment)
-    )
-    with np.errstate(invalid="ignore"):
-        density = np.where(
-            fact_pages_per_fragment > 0,
-            touched_per_fragment / fact_pages_per_fragment,
-            0.0,
-        )
-
-    return AccessStructureBatch(
-        query_names=matrix.query_names,
-        fragments_total=layout.fragment_count,
-        fragments_accessed=fragments_accessed,
-        rows_in_accessed_fragments=rows_in_accessed,
-        qualifying_rows=qualifying_rows,
-        rows_per_fragment=rows_per_fragment,
-        fact_pages_per_fragment=fact_pages_per_fragment,
-        forced_full_scan=forced_full_scan,
-        has_residuals=has_residuals,
-        bitmap_touched_per_fragment=touched_per_fragment,
-        bitmap_density=density,
-        index_class=index_class,
-        index_pages=index_pages,
-        index_attributes=tuple(index_attributes),
-        bitmap_pages_per_fragment=bitmap_pages_per_fragment,
-        bitmap_index_counts=bitmap_index_counts,
-    )
-
-
-def estimate_access_batch(
-    structures: AccessStructureBatch,
-    prefetch: PrefetchSetting,
-    positioning_page_equivalent: float,
-) -> AccessProfileBatch:
-    """Apply a prefetch setting to a structure batch, all classes at once.
-
-    The vectorized twin of :func:`~repro.costmodel.estimate_access`: the same
-    scan-vs-bitmap access path selection, evaluated as masked vector
-    arithmetic over the class axis.
-    """
-    fragments_accessed = structures.fragments_accessed
-    fact_pages_per_fragment = structures.fact_pages_per_fragment
-
-    # --- bitmap request counts under the configured granule ----------------------
-    index_requests = np.where(
-        structures.index_pages > 0,
-        np.ceil(structures.index_pages / prefetch.bitmap_pages),
-        0.0,
-    )
-    bitmap_requests_per_fragment = np.zeros(structures.num_classes, dtype=np.float64)
-    np.add.at(bitmap_requests_per_fragment, structures.index_class, index_requests)
-    bitmap_pages_per_fragment = structures.bitmap_pages_per_fragment
-
-    # --- plan A: sequential scan of the accessed fragments ------------------------
-    scan_requests_per_fragment = np.where(
-        fact_pages_per_fragment > 0,
-        np.ceil(fact_pages_per_fragment / prefetch.fact_pages),
-        0.0,
-    )
-    scan_cost_per_fragment = (
-        scan_requests_per_fragment * positioning_page_equivalent
-        + fact_pages_per_fragment
-    )
-
-    # --- plan B: bitmap-driven access ---------------------------------------------
-    touched_per_fragment = structures.bitmap_touched_per_fragment
-    bitmap_sequential = structures.bitmap_density >= SEQUENTIAL_DENSITY_THRESHOLD
-    bitmap_fact_requests = np.where(
-        bitmap_sequential, scan_requests_per_fragment, touched_per_fragment
-    )
-    # Sequential bitmap plans read the whole fragment; random ones touch (and
-    # transfer) exactly the Cardenas pages — touched == transferred either way.
-    bitmap_fact_transferred = np.where(
-        bitmap_sequential, fact_pages_per_fragment, touched_per_fragment
-    )
-    bitmap_plan_cost = (
-        bitmap_fact_requests * positioning_page_equivalent
-        + bitmap_fact_transferred
-        + bitmap_requests_per_fragment * positioning_page_equivalent
-        + bitmap_pages_per_fragment
-    )
-    use_bitmap_plan = structures.bitmap_plan_available & (
-        bitmap_plan_cost < scan_cost_per_fragment
-    )
-
-    sequential = np.where(use_bitmap_plan, bitmap_sequential, True)
-    pages_touched_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_transferred, fact_pages_per_fragment
-    )
-    requests_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_requests, scan_requests_per_fragment
-    )
-    transferred_per_fragment = np.where(
-        use_bitmap_plan, bitmap_fact_transferred, fact_pages_per_fragment
-    )
-    bitmap_pages = np.where(
-        use_bitmap_plan, fragments_accessed * bitmap_pages_per_fragment, 0.0
-    )
-    bitmap_requests = np.where(
-        use_bitmap_plan, fragments_accessed * bitmap_requests_per_fragment, 0.0
-    )
-
-    return AccessProfileBatch(
-        structures=structures,
-        fact_pages_accessed=fragments_accessed * pages_touched_per_fragment,
-        bitmap_pages_accessed=bitmap_pages,
-        fact_io_requests=fragments_accessed * requests_per_fragment,
-        bitmap_io_requests=bitmap_requests,
-        fact_pages_transferred=fragments_accessed * transferred_per_fragment,
-        sequential_fact_access=sequential,
-        use_bitmap_plan=use_bitmap_plan,
-    )
-
-
-def resolve_prefetch_setting_batch(
-    structures: AccessStructureBatch,
-    matrix: ClassMatrix,
-    system: SystemParameters,
-) -> PrefetchSetting:
-    """Resolve the prefetch granules from a structure batch.
-
-    The vectorized twin of :func:`~repro.costmodel.resolve_prefetch_setting`:
-    a unit-granule estimation pass derives each class's typical run lengths,
-    then the shared granule selection picks the optimum.
-    """
-    unit_profiles = estimate_access_batch(
-        structures,
-        PrefetchSetting.fixed(1, 1),
-        _positioning_page_equivalent(system),
-    )
-    fact_runs = structures.fact_pages_per_fragment
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bitmap_runs = np.where(
-            structures.fragments_accessed > 0,
-            unit_profiles.bitmap_pages_accessed / structures.fragments_accessed,
-            0.0,
-        )
-    return prefetch_setting_from_runs(
-        tuple(fact_runs.tolist()),
-        tuple(bitmap_runs.tolist()),
-        matrix.shares,
-        system,
-    )
-
-
-def evaluate_workload_batch(
-    layout: FragmentationLayout,
-    structures: AccessStructureBatch,
-    matrix: ClassMatrix,
-    system: SystemParameters,
-    prefetch: PrefetchSetting,
-) -> WorkloadEvaluation:
-    """Evaluate one candidate against the whole mix, vectorized.
-
-    The vectorized twin of :meth:`repro.costmodel.IOCostModel.evaluate` (with
-    a resolved prefetch setting): access profiles, I/O cost, response time and
-    disk counts are computed as class-axis vectors, then materialized into the
-    same per-class :class:`~repro.costmodel.QueryCost` records.
-    """
-    profiles = estimate_access_batch(
-        structures, prefetch, _positioning_page_equivalent(system)
-    )
-
-    # --- I/O cost (IOCostModel.io_cost_ms, vectorized) ----------------------------
-    disk = system.disk
-    page_time = disk.page_transfer_time_ms(system.page_size_bytes)
-    fact_transfer = np.where(
-        profiles.sequential_fact_access,
-        np.maximum(
-            profiles.fact_io_requests * prefetch.fact_pages,
-            profiles.fact_pages_transferred,
-        ),
-        profiles.fact_pages_transferred,
-    )
-    bitmap_transfer = np.where(
-        profiles.bitmap_io_requests > 0,
-        np.maximum(
-            profiles.bitmap_io_requests * prefetch.bitmap_pages,
-            profiles.bitmap_pages_accessed,
-        ),
-        profiles.bitmap_pages_accessed,
-    )
-    total_requests = profiles.fact_io_requests + profiles.bitmap_io_requests
-    io_cost = disk.positioning_time_ms * total_requests + page_time * (
-        fact_transfer + bitmap_transfer
-    )
-
-    # --- disks used and response time (vectorized) --------------------------------
-    disks_used = np.minimum(
-        float(system.num_disks),
-        np.ceil(np.maximum(1.0, profiles.structures.fragments_accessed)),
-    ).astype(np.int64)
-    disks_f = disks_used.astype(np.float64)
-    parallel = disks_used > 1
-    imbalance = np.where(
-        parallel, 1.0 + layout.fragment_size_cv / np.sqrt(disks_f), 1.0
-    )
-    response = (
-        io_cost / disks_f * imbalance
-        + system.effective_coordination_overhead_ms * disks_f
-    )
-
-    # Assemble the columnar evaluation: the metric block is exactly the
-    # already-computed vectors, so no per-class Python objects are built here
-    # — records materialize lazily from :class:`EvaluationColumns` on demand.
-    structures = profiles.structures
-    metrics = np.empty((structures.num_classes, NUM_METRIC_FIELDS), dtype=np.float64)
-    metrics[:, 0] = structures.fragments_accessed
-    metrics[:, 1] = structures.rows_in_accessed_fragments
-    metrics[:, 2] = structures.qualifying_rows
-    metrics[:, 3] = structures.fact_pages_per_fragment
-    metrics[:, 4] = profiles.fact_pages_accessed
-    metrics[:, 5] = profiles.bitmap_pages_accessed
-    metrics[:, 6] = profiles.fact_io_requests
-    metrics[:, 7] = profiles.bitmap_io_requests
-    metrics[:, 8] = profiles.fact_pages_transferred
-    metrics[:, 9] = profiles.bitmap_pages_accessed  # transferred == accessed
-    metrics[:, -2] = io_cost
-    metrics[:, -1] = response
-    attributes_used = [()] * structures.num_classes
-    for i in np.nonzero(profiles.use_bitmap_plan)[0].tolist():
-        attributes_used[i] = structures.attributes_for(i)
-    columns = EvaluationColumns(
-        query_names=matrix.query_names,
-        weights=matrix.shares,
-        fragments_total=structures.fragments_total,
-        metrics=metrics,
-        disks_used=disks_used,
-        sequential=profiles.sequential_fact_access,
-        forced=structures.forced_full_scan,
-        attributes_used=tuple(attributes_used),
-    )
-    return WorkloadEvaluation(layout=layout, prefetch=prefetch, columns=columns)
-
 
 # ---------------------------------------------------------------------------
 # Candidate-axis batching: a whole chunk of layouts as (candidate × class)
 # ---------------------------------------------------------------------------
 #
-# The class-axis kernels above still run one Python pass per candidate; for
-# small class counts the per-candidate numpy dispatch overhead eats most of
-# the vector win.  The kernels below stack every layout of a chunk, whatever
-# its fragmentation dimensions, and evaluate the whole stack as 2-D
-# (candidate × class) arrays.  Structure derivation walks the axis
-# *positions*: at each position every candidate gathers its own matrix row,
-# attribute depth and axis cardinality, and a candidate with fewer axes (or an
-# axis no class restricts) reads a padded all-unrestricted row with
+# Every layout of a chunk, whatever its fragmentation dimensions, is
+# evaluated as 2-D (candidate × class) arrays.  Structure derivation walks the
+# axis *positions*: at each position every candidate gathers its own matrix
+# row, attribute depth and axis cardinality, and a candidate with fewer axes
+# (or an axis no class restricts) reads a padded all-unrestricted row with
 # cardinality 1.0, whose factor is exactly ×1.0.  Every operation is the same
-# elementwise IEEE-754 double operation the class-axis (and therefore the
-# scalar) path performs, in each candidate's own spec order — slicing a
-# candidate out of the stack is bit-identical to evaluating it alone, which
-# the parity suite asserts.
+# elementwise IEEE-754 double operation the scalar path performs, in each
+# candidate's own spec order — slicing a candidate out of the stack is
+# bit-identical to evaluating it alone, which the parity suite asserts.
 
 
 @dataclass(frozen=True)
@@ -765,16 +251,32 @@ class _ResidualGroup2D:
     bits_read: np.ndarray
 
 
+#: The per-class vectors of :class:`AccessStructureBatch`; each one is a
+#: (candidate × class) plane of :class:`AccessStructureBatch2D`.
+_PLANES = (
+    "fragments_accessed",
+    "rows_in_accessed_fragments",
+    "qualifying_rows",
+    "rows_per_fragment",
+    "fact_pages_per_fragment",
+    "forced_full_scan",
+    "has_residuals",
+    "bitmap_touched_per_fragment",
+    "bitmap_density",
+    "bitmap_pages_per_fragment",
+    "bitmap_index_counts",
+)
+
+
 @dataclass(frozen=True)
 class AccessStructureBatch2D:
     """Access structures of all classes on a *stack* of layouts.
 
-    The candidate-axis twin of :class:`AccessStructureBatch`: every per-class
-    vector grows a leading candidate axis, and the flat residual-index rows
-    gain a candidate coordinate (sorted candidate-major, then class, then
-    per-class residual order).  :meth:`candidate` slices one layout's
-    class-axis batch back out — bit-identical to
-    :func:`compute_access_structure_batch` on that layout alone.
+    :class:`AccessStructureBatch` with a leading candidate axis on every
+    per-class vector; the flat residual-index rows gain a candidate
+    coordinate (sorted candidate-major, then class, then per-class residual
+    order).  :meth:`candidate` slices one layout's batch back out —
+    bit-identical to stacking that layout alone.
     """
 
     query_names: Tuple[str, ...]
@@ -827,84 +329,53 @@ class AccessStructureBatch2D:
         return slice(int(lo), int(hi))
 
     def candidate(self, k: int) -> AccessStructureBatch:
-        """Slice one stacked layout back into its class-axis batch."""
+        """Slice one stacked layout back into its per-layout batch."""
         rows = self._index_slice(k)
         return AccessStructureBatch(
             query_names=self.query_names,
             fragments_total=int(self.fragments_total[k]),
-            fragments_accessed=self.fragments_accessed[k].copy(),
-            rows_in_accessed_fragments=self.rows_in_accessed_fragments[k].copy(),
-            qualifying_rows=self.qualifying_rows[k].copy(),
-            rows_per_fragment=self.rows_per_fragment[k].copy(),
-            fact_pages_per_fragment=self.fact_pages_per_fragment[k].copy(),
-            forced_full_scan=self.forced_full_scan[k].copy(),
-            has_residuals=self.has_residuals[k].copy(),
-            bitmap_touched_per_fragment=self.bitmap_touched_per_fragment[k].copy(),
-            bitmap_density=self.bitmap_density[k].copy(),
             index_class=self.index_class[rows].copy(),
             index_pages=self.index_pages[rows].copy(),
             index_attributes=self.index_attributes[rows],
-            bitmap_pages_per_fragment=self.bitmap_pages_per_fragment[k].copy(),
-            bitmap_index_counts=self.bitmap_index_counts[k].copy(),
+            **{name: getattr(self, name)[k].copy() for name in _PLANES},
         )
 
     @classmethod
     def stack(cls, batches: Sequence[AccessStructureBatch]) -> "AccessStructureBatch2D":
-        """Stack per-layout class-axis batches into one candidate-axis batch.
+        """Stack per-layout batches into one candidate-axis batch.
 
         The inverse of :meth:`candidate`, used to mix cache-warm structures
         with freshly computed ones before the shared downstream kernels; the
         per-layout flat index rows are already class-sorted, so concatenating
         them candidate-major preserves the sorted flat order the 2-D kernels
-        rely on.
+        rely on.  A stack of one layout (single-spec evaluation) holds views
+        of that layout's vectors instead of copies.
         """
         if not batches:
             raise CostModelError("cannot stack an empty structure-batch list")
-        index_candidate_parts = []
-        index_attributes: List[Tuple[str, str]] = []
-        for k, batch in enumerate(batches):
-            index_candidate_parts.append(
-                np.full(len(batch.index_class), k, dtype=np.int64)
-            )
-            index_attributes.extend(batch.index_attributes)
+        if len(batches) == 1:
+            planes = {name: getattr(batches[0], name)[None] for name in _PLANES}
+        else:
+            planes = {
+                name: np.stack([getattr(batch, name) for batch in batches])
+                for name in _PLANES
+            }
         return cls(
             query_names=batches[0].query_names,
             fragments_total=np.array(
                 [batch.fragments_total for batch in batches], dtype=np.int64
             ),
-            fragments_accessed=np.stack([b.fragments_accessed for b in batches]),
-            rows_in_accessed_fragments=np.stack(
-                [b.rows_in_accessed_fragments for b in batches]
+            index_candidate=np.repeat(
+                np.arange(len(batches), dtype=np.int64),
+                [len(batch.index_class) for batch in batches],
             ),
-            qualifying_rows=np.stack([b.qualifying_rows for b in batches]),
-            rows_per_fragment=np.stack([b.rows_per_fragment for b in batches]),
-            fact_pages_per_fragment=np.stack(
-                [b.fact_pages_per_fragment for b in batches]
+            index_class=np.concatenate([batch.index_class for batch in batches]),
+            index_pages=np.concatenate([batch.index_pages for batch in batches]),
+            index_attributes=tuple(
+                chain.from_iterable(batch.index_attributes for batch in batches)
             ),
-            forced_full_scan=np.stack([b.forced_full_scan for b in batches]),
-            has_residuals=np.stack([b.has_residuals for b in batches]),
-            bitmap_touched_per_fragment=np.stack(
-                [b.bitmap_touched_per_fragment for b in batches]
-            ),
-            bitmap_density=np.stack([b.bitmap_density for b in batches]),
-            index_candidate=(
-                np.concatenate(index_candidate_parts)
-                if index_candidate_parts
-                else np.empty(0, dtype=np.int64)
-            ),
-            index_class=np.concatenate([b.index_class for b in batches]),
-            index_pages=np.concatenate([b.index_pages for b in batches]),
-            index_attributes=tuple(index_attributes),
-            bitmap_pages_per_fragment=np.stack(
-                [b.bitmap_pages_per_fragment for b in batches]
-            ),
-            bitmap_index_counts=np.stack([b.bitmap_index_counts for b in batches]),
+            **planes,
         )
-
-
-def _padded(plane: np.ndarray, fill) -> np.ndarray:
-    """``plane`` plus a trailing all-``fill`` row, addressed as row -1."""
-    return np.vstack([plane, np.full((1, plane.shape[1]), fill, dtype=plane.dtype)])
 
 
 def _axis_groups_candidates(
@@ -913,23 +384,22 @@ def _axis_groups_candidates(
 ) -> Tuple[np.ndarray, np.ndarray, List[_ResidualGroup2D]]:
     """Fragment confinement along every axis position, for the whole stack.
 
-    The candidate-axis twin of :func:`_axis_groups`: at each axis position
-    every candidate gathers its own matrix row, attribute depth and axis
-    cardinality into (candidate × class) planes.  Where the candidate's
-    dimension is restricted by no class, or the candidate has fewer axes, it
-    reads the padded unrestricted row (-1); a missing axis also gets
-    cardinality 1.0, so its factor on both products is exactly ×1.0.
+    At each axis position every candidate gathers its own matrix row,
+    attribute depth and axis cardinality into (candidate × class) planes.
+    Where the candidate's dimension is restricted by no class, or the
+    candidate has fewer axes, it reads the padded unrestricted row (-1); a
+    missing axis also gets cardinality 1.0, so its factor on both products is
+    exactly ×1.0.
     """
     num_candidates = len(layouts)
     num_classes = matrix.num_classes
     fragments_accessed = np.ones((num_candidates, num_classes), dtype=np.float64)
     fragment_row_fraction = np.ones((num_candidates, num_classes), dtype=np.float64)
     groups: List[_ResidualGroup2D] = []
-    row_of = {name: row for row, name in enumerate(matrix.dimension_names)}
-    restricted_plane = _padded(matrix.restricted, False)
-    value_plane = _padded(matrix.value_counts, 0.0)
-    cardinality_plane = _padded(matrix.level_cardinalities, 1.0)
-    depth_plane = _padded(matrix.level_depths, NO_RESTRICTION)
+    row_of = matrix.row_of
+    restricted_plane, value_plane, cardinality_plane, depth_plane = (
+        matrix.padded_planes
+    )
     dimensionality = max(layout.spec.dimensionality for layout in layouts)
 
     for position in range(dimensionality):
@@ -954,7 +424,7 @@ def _axis_groups_candidates(
         query_cardinality = cardinality_plane[rows]
         depth = depth_plane[rows]
 
-        accessed = np.broadcast_to(cards, (num_candidates, num_classes)).copy()
+        accessed = np.repeat(cards, num_classes, axis=1)
 
         # Restriction at or above the fragmentation level: whole fragments.
         coarse = restricted & (depth <= attribute_depths)
@@ -1014,7 +484,7 @@ def _slot_groups_candidates(
     # dimensions".  The trailing column absorbs the NO_RESTRICTION (-1)
     # padding entries, which the validity mask filters out anyway.
     row_in_spec = np.zeros((len(layouts), matrix.num_dimensions + 1), dtype=bool)
-    row_of = {name: row for row, name in enumerate(matrix.dimension_names)}
+    row_of = matrix.row_of
     for k, layout in enumerate(layouts):
         for dimension in layout.spec.dimensions:
             if dimension in row_of:
@@ -1045,11 +515,13 @@ def compute_access_structure_batch_candidates(
 ) -> AccessStructureBatch2D:
     """Derive the access structures of a whole layout stack in one pass.
 
-    The candidate-axis twin of :func:`compute_access_structure_batch`: the
-    layouts may mix axis structures (ordered fragmentation dimensions); all
-    per-class quantities are computed as (candidate × class) planes with the
-    identical elementwise operations, so :meth:`AccessStructureBatch2D.candidate`
-    slices out batches bit-identical to the per-layout computation.
+    The vectorized form of :func:`~repro.costmodel.compute_access_structure`
+    over every class of every layout: the layouts may mix axis structures
+    (ordered fragmentation dimensions); all per-class quantities are computed
+    as (candidate × class) planes with the scalar path's elementwise
+    operations, so each :meth:`AccessStructureBatch2D.candidate` slice is
+    bit-identical to stacking that layout alone.  The workload is assumed
+    validated (the advisor and the engine validate it once at construction).
     """
     if not layouts:
         raise CostModelError("candidate-axis batching needs at least one layout")
@@ -1118,8 +590,8 @@ def compute_access_structure_batch_candidates(
         index_pages_parts.append(pages)
 
     if index_cand_parts:
-        # Sort the flat rows candidate-major, class within, stably — exactly
-        # the class-axis sort applied per candidate, so each slice replays the
+        # Sort the flat rows candidate-major, class within, stably: the groups
+        # come in residual order, so each (candidate, class) run replays the
         # scalar accumulation order.
         index_candidate = np.concatenate(index_cand_parts)
         index_class = np.concatenate(index_class_parts)
@@ -1193,9 +665,9 @@ def compute_access_structure_batch_candidates(
 class AccessProfileBatch2D:
     """Access profiles of a layout stack under per-candidate prefetch settings.
 
-    The candidate-axis twin of :class:`AccessProfileBatch`; every plane is
-    (candidate × class).  :meth:`candidate` materializes one layout's
-    class-axis profile batch for the parity harness.
+    :class:`AccessProfileBatch` with a leading candidate axis: every plane is
+    (candidate × class).  :meth:`candidate` materializes one layout's profile
+    batch for the parity harness.
     """
 
     structures: AccessStructureBatch2D
@@ -1208,7 +680,7 @@ class AccessProfileBatch2D:
     use_bitmap_plan: np.ndarray
 
     def candidate(self, k: int) -> AccessProfileBatch:
-        """Slice one stacked layout back into its class-axis profile batch."""
+        """Slice one stacked layout back into its per-layout profile batch."""
         return AccessProfileBatch(
             structures=self.structures.candidate(k),
             fact_pages_accessed=self.fact_pages_accessed[k].copy(),
@@ -1229,10 +701,12 @@ def estimate_access_batch_candidates(
 ) -> AccessProfileBatch2D:
     """Apply per-candidate prefetch granules to a structure stack at once.
 
-    The candidate-axis twin of :func:`estimate_access_batch`: ``fact_granules``
-    and ``bitmap_granules`` are (candidates,) float64 vectors holding each
-    candidate's (integer-valued) granules — integer-to-double conversion is
-    exact, so the per-element divisions match the class-axis path bitwise.
+    The vectorized form of :func:`~repro.costmodel.estimate_access`: the same
+    scan-vs-bitmap access path selection, as masked (candidate × class)
+    arithmetic.  ``fact_granules`` and ``bitmap_granules`` are (candidates,)
+    float64 vectors holding each candidate's (integer-valued) granules —
+    integer-to-double conversion is exact, so the per-element divisions match
+    the scalar path bitwise.
     """
     fragments_accessed = structures.fragments_accessed
     fact_pages_per_fragment = structures.fact_pages_per_fragment
@@ -1324,8 +798,8 @@ def resolve_prefetch_settings_batch_candidates(
 
     The unit-granule estimation runs once over the whole stack; the (cheap)
     granule selection then runs per candidate on exactly the run-length floats
-    the class-axis path derives, so the returned settings are identical to
-    per-layout :func:`resolve_prefetch_setting_batch` calls.
+    the scalar path derives, so the returned settings are identical to
+    per-layout :func:`~repro.costmodel.resolve_prefetch_setting` calls.
     """
     num_candidates = structures.num_candidates
     unit = np.ones(num_candidates, dtype=np.float64)
@@ -1381,11 +855,12 @@ def evaluate_workload_batch_candidates(
 ) -> List[WorkloadEvaluation]:
     """Evaluate a whole layout stack against the mix, candidate-axis batched.
 
-    The candidate-axis twin of :func:`evaluate_workload_batch`: access
-    profiles, I/O cost, response time and disk counts are computed as
-    (candidate × class) planes, then each candidate's columnar
-    :class:`~repro.costmodel.EvaluationColumns` is sliced out of the shared
-    metric cube — bit-identical to evaluating the layouts one by one.
+    The vectorized form of :meth:`repro.costmodel.IOCostModel.evaluate` (with
+    resolved prefetch settings): access profiles, I/O cost, response time
+    and disk counts are computed as (candidate × class) planes, then each
+    candidate's columnar :class:`~repro.costmodel.EvaluationColumns` is
+    sliced out of the shared metric cube — bit-identical to evaluating the
+    layouts one by one.
     """
     num_candidates = structures.num_candidates
     num_classes = structures.num_classes
@@ -1487,3 +962,39 @@ def evaluate_workload_batch_candidates(
             )
         )
     return evaluations
+
+
+# ---------------------------------------------------------------------------
+# Single-layout entry points: the same kernels on a stack of one
+# ---------------------------------------------------------------------------
+
+
+def compute_access_structure_batch(
+    layout: FragmentationLayout, matrix: ClassMatrix
+) -> AccessStructureBatch:
+    """Every class's prefetch-independent access structure on one layout."""
+    return compute_access_structure_batch_candidates([layout], matrix).candidate(0)
+
+
+def resolve_prefetch_setting_batch(
+    structures: AccessStructureBatch,
+    matrix: ClassMatrix,
+    system: SystemParameters,
+) -> PrefetchSetting:
+    """Resolve one layout's prefetch granules from its structure batch."""
+    stacked = AccessStructureBatch2D.stack([structures])
+    return resolve_prefetch_settings_batch_candidates(stacked, matrix, system)[0]
+
+
+def evaluate_workload_batch(
+    layout: FragmentationLayout,
+    structures: AccessStructureBatch,
+    matrix: ClassMatrix,
+    system: SystemParameters,
+    prefetch: PrefetchSetting,
+) -> WorkloadEvaluation:
+    """Evaluate one layout against the whole mix under ``prefetch``."""
+    stacked = AccessStructureBatch2D.stack([structures])
+    return evaluate_workload_batch_candidates(
+        [layout], stacked, matrix, system, [prefetch]
+    )[0]

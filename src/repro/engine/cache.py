@@ -276,7 +276,7 @@ class EvaluationCache:
         )
 
     def access_structure_batch(self, layout, matrix, compute):
-        """Cached class-axis structure batch of one layout.
+        """Cached structure batch (every query class) of one layout.
 
         The columnar counterpart of :meth:`access_structure`: one entry covers
         *every* query class of the compiled
@@ -289,10 +289,10 @@ class EvaluationCache:
         )
 
     def get_structure_batch(self, layout, matrix):
-        """Probe for a class-axis structure batch; ``None`` on miss (counted).
+        """Probe for one layout's structure batch; ``None`` on miss (counted).
 
         The split get/put surface of :meth:`access_structure_batch`: the
-        candidate-axis executor probes every layout of a chunk first and
+        vectorized executor probes every layout of a chunk first and
         computes all misses as one stacked batch, so the compute cannot be
         expressed as a per-entry ``compute`` callback.  Counter semantics are
         identical — one structure probe per candidate either way.

@@ -10,28 +10,28 @@ pure function of its inputs, workers return columnar
 re-materializes by index — so ``jobs=4`` produces bit-identical
 recommendations to ``jobs=1`` (the parity test matrix asserts this).
 
-Three cost paths implement the same model (``EngineOptions.vectorize``):
+Two cost paths implement the same model (``EngineOptions.vectorize``):
 
-* the **candidate-axis path** (``"candidates"``, default) stacks every
-  layout of a chunk, whatever the mix of axis structures, into one
-  (candidate × class) numpy batch and evaluates the chunk in one fused
-  pass: one call each to the structure kernel, the allocation chooser,
-  prefetch resolution and the cost model (:mod:`repro.costmodel.batch`).
-  Serial chunks are cost-balanced sets of about 8 to 16 candidates;
-* the **class-axis path** (``"classes"``) computes one candidate's access
-  structures and costs for *all* query classes as numpy vectors over the
-  class axis;
-* the **scalar path** (``"none"``, CLI ``--no-vectorize``) runs the
+* the **vectorized path** (``True``, default) stacks every layout of a
+  chunk, whatever the mix of axis structures, into one (candidate × class)
+  numpy batch and evaluates the chunk in one fused pass: one call each to
+  the structure kernel, the allocation chooser, prefetch resolution and the
+  cost model (:mod:`repro.costmodel.batch`).  Serial chunks are
+  cost-balanced sets of about 8 to 16 candidates; a single spec (what-ifs,
+  tuning studies) runs the same kernels on a stack of one layout;
+* the **scalar path** (``False``, CLI ``--no-vectorize``) runs the
   per-class reference implementation.
 
-All three are bit-identical by construction and by test
+Both are bit-identical by construction and by test
 (``tests/test_vector_parity.py``); the scalar path remains the reference and
 the escape hatch.
 
-The process pool is created per sweep with an initializer that ships the
-evaluation context (schema, workload, system, config, bitmap scheme, class
-matrix, specs) once per worker rather than once per task; each worker owns a
-private :class:`~repro.engine.cache.EvaluationCache`, so the run-length and
+The process pool is created per sweep with the ``spawn`` start method (a
+fork from a threaded server could copy a held lock into a worker) and an
+initializer that ships the evaluation context (schema, workload, system,
+config, bitmap scheme, class matrix, specs) once per worker rather than once
+per task; each worker owns a private
+:class:`~repro.engine.cache.EvaluationCache`, so the run-length and
 evaluation passes of a candidate share their access structures inside the
 worker exactly as they do inline.  If the pool cannot be created (restricted
 environments without working multiprocessing), the engine falls back to the
@@ -88,12 +88,10 @@ class EngineContext:
     fact_name: str
     bitmap_scheme: BitmapScheme
     specs: Tuple[FragmentationSpec, ...] = ()
-    #: Vectorization mode of the cost sweep: ``"candidates"`` batches whole
-    #: chunks as (candidate × class) numpy arrays, ``"classes"`` vectorizes
-    #: one candidate's class axis, ``"none"`` runs the scalar reference path.
-    #: All modes return bit-identical candidates.
-    vectorize: str = "candidates"
-    #: Columnar workload compilation for the vectorized modes (shipped once
+    #: ``True`` runs the vectorized (candidate × class) kernels, ``False`` the
+    #: scalar reference path; both return bit-identical candidates.
+    vectorize: bool = True
+    #: Columnar workload compilation for the vectorized path (shipped once
     #: per worker with the context).
     class_matrix: Optional[ClassMatrix] = None
 
@@ -129,10 +127,10 @@ def _evaluate_spec(
         page_size_bytes=context.system.page_size_bytes,
         max_fragments=max(context.config.max_fragments, 1),
     )
-    if context.vectorize != "none" and context.class_matrix is not None:
-        # Vectorized class-axis sweep: one structure batch per layout (cached
-        # like the scalar structures), then granule resolution and the cost
-        # model as vectors over all query classes at once.
+    if context.vectorize and context.class_matrix is not None:
+        # Vectorized kernels on a stack of one layout: one structure batch
+        # (cached like the scalar structures), then granule resolution and
+        # the cost model as vectors over all query classes at once.
         matrix = context.class_matrix
 
         def compute():
@@ -185,15 +183,15 @@ def evaluate_specs_in_context(
 ) -> List[FragmentationCandidate]:
     """Evaluate a chunk of candidate indices, candidate-axis batched.
 
-    In ``vectorize="candidates"`` mode every uncached layout of the chunk,
-    whatever its axis structure, is stacked into one (candidate × class)
-    numpy batch — structures, allocation, prefetch resolution and costs
-    computed in one fused pass, bit-identical to evaluating each spec alone
-    (the parity suite pins this).  Other modes fall back to the per-spec
-    path.  Cache semantics match the per-spec path exactly: one candidate
-    probe per index, one structure probe per evaluated layout.
+    On the vectorized path every uncached layout of the chunk, whatever its
+    axis structure, is stacked into one (candidate × class) numpy batch —
+    structures, allocation, prefetch resolution and costs computed in one
+    fused pass, bit-identical to evaluating each spec alone (the parity suite
+    pins this).  The scalar path evaluates spec by spec.  Cache semantics
+    match the per-spec path exactly: one candidate probe per index, one
+    structure probe per evaluated layout.
     """
-    if context.vectorize != "candidates" or context.class_matrix is None:
+    if not context.vectorize or context.class_matrix is None:
         return [
             evaluate_spec_in_context(context, context.specs[index], cache)
             for index in indices
@@ -263,7 +261,7 @@ def _structure_batch(
 ) -> AccessStructureBatch2D:
     """The stacked structure batch of one chunk.
 
-    Per-layout cache probes (same counter semantics as the class-axis path);
+    Per-layout cache probes (same counter semantics as the per-spec path);
     all misses are computed as ONE stacked batch, and per-layout slices feed
     the cache — the slices are bit-identical to per-layout computation, so
     cross-mode and cross-run cache sharing stays exact.  On an all-miss
@@ -468,7 +466,7 @@ class EvaluationEngine:
     ) -> EngineContext:
         """The picklable evaluation context for ``specs``."""
         scheme = bitmap_scheme if bitmap_scheme is not None else self.bitmap_scheme()
-        mode = self.options.vectorize_mode
+        vectorize = self.options.vectorize
         return EngineContext(
             schema=self.schema,
             workload=self.workload,
@@ -477,8 +475,8 @@ class EvaluationEngine:
             fact_name=self.fact_name,
             bitmap_scheme=scheme,
             specs=tuple(specs),
-            vectorize=mode,
-            class_matrix=self.class_matrix(scheme) if mode != "none" else None,
+            vectorize=vectorize,
+            class_matrix=self.class_matrix(scheme) if vectorize else None,
         )
 
     def plan(self, specs: Sequence[FragmentationSpec]) -> EvaluationPlan:
@@ -523,7 +521,7 @@ class EvaluationEngine:
 
         ``on_progress`` receives one :class:`repro.api.ProgressEvent` per
         completed plan chunk (about 8 to 16 candidates on the serial
-        candidate-axis path, one candidate on the other serial paths);
+        vectorized path, one candidate on the serial scalar path);
         ``cancel`` — a :class:`repro.api.CancellationToken` or a zero-argument
         callable — is checked at the same chunk boundaries and raises
         :class:`~repro.errors.EvaluationCancelled` when set.  Entries cached
@@ -612,7 +610,7 @@ class EvaluationEngine:
         preloaded: Optional[Dict[int, FragmentationCandidate]] = None,
         degraded: bool = False,
     ) -> List[FragmentationCandidate]:
-        # Serial chunk granularity: in candidate-axis mode, cost-balanced
+        # Serial chunk granularity: on the vectorized path, cost-balanced
         # chunks of about ceil(n/16) candidates, clamped to 8..16, each one
         # fused kernel pass.  The floor keeps small sweeps from splitting into
         # passes too narrow to amortize the kernels' fixed cost; the cap
@@ -629,7 +627,7 @@ class EvaluationEngine:
             for index, candidate in preloaded.items():
                 results[index] = candidate
             pending = [index for index in pending if results[index] is None]
-        if context.vectorize == "candidates" and context.class_matrix is not None:
+        if context.vectorize and context.class_matrix is not None:
             size = min(16, max(8, -(-len(pending) // 16)))
             chunks = plan.partition_indices(pending, max(1, -(-len(pending) // size)))
         else:
@@ -704,20 +702,23 @@ class EvaluationEngine:
                 # computing chunk/num_chunks ratios must not divide by zero).
                 on_progress(self._progress_event(plan, warm, 1, 1))
             return results  # type: ignore[return-value]
-        # Candidate-axis mode keeps same-axis-structure candidates on one
+        # The vectorized path keeps same-axis-structure candidates on one
         # worker so the kernels batch at full group width.
         chunks = plan.partition_indices(
             pending,
             jobs,
-            by_axis_structure=(
-                context.vectorize == "candidates" and context.class_matrix is not None
-            ),
+            by_axis_structure=context.vectorize and context.class_matrix is not None,
         )
+        import multiprocessing
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         completed = warm
+        # Spawned, not forked: the engine also runs on request threads of
+        # ``warlock serve``, and a forked worker can inherit a lock another
+        # thread held at fork time and block on it forever.
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)),
+            mp_context=multiprocessing.get_context("spawn"),
             initializer=_initialize_worker,
             initargs=(context,),
         ) as pool:

@@ -216,9 +216,9 @@ def engine_section_from_dict(raw: Dict[str, Any]) -> Dict[str, Any]:
     """The validated ``"engine"`` block of a configuration dictionary.
 
     The block supplies defaults for the execution options
-    (:class:`repro.api.EngineOptions` fields: ``jobs``, ``vectorize``,
-    ``cache``, ``cache_dir``, ``persist``); the CLI resolves them below
-    explicit flags and the environment.  Returns the overrides as a plain
+    (:class:`repro.api.EngineOptions` fields: ``jobs``, ``vectorize`` — a
+    bool, ``cache``, ``cache_dir``, ``persist``, ``cache_max_mb``); the CLI
+    resolves them below explicit flags and the environment.  Returns the overrides as a plain
     dict (empty when the block is absent); unknown keys or invalid values are
     an error — a typo must not silently fall back to a default.
     """

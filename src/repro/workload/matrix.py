@@ -1,8 +1,9 @@
 """Columnar workload compilation: the class axis as numpy vectors.
 
-The batched cost path evaluates one fragmentation candidate against *all*
-query classes of the mix at once, as numpy vectors over the class axis,
-instead of the ~40 scalar passes the per-class estimation performs.  For that
+The vectorized cost kernels evaluate a stack of fragmentation candidates
+against *all* query classes of the mix at once, as (candidate × class) numpy
+planes, instead of the ~40 scalar passes per candidate the per-class
+estimation performs.  For that
 it needs the workload in columnar form: per restricted dimension, one
 class-length column per restriction property (value counts, level depths,
 level cardinalities, selectivities, bitmap availability).
@@ -24,7 +25,8 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -94,11 +96,37 @@ class ClassMatrix:
         """Number of restricted dimensions (rows of the columnar arrays)."""
         return len(self.dimension_names)
 
+    @cached_property
+    def row_of(self) -> Dict[str, int]:
+        """Row index of every restricted dimension."""
+        return {name: row for row, name in enumerate(self.dimension_names)}
+
+    @cached_property
+    def padded_planes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``restricted``, ``value_counts``, ``level_cardinalities`` and
+        ``level_depths``, each with a trailing unrestricted row (``False``,
+        0.0, 1.0, ``NO_RESTRICTION``) addressed as row -1.
+
+        The candidate-axis kernels gather every candidate's row at once; a
+        fragmentation axis no class restricts reads the padding row.
+        """
+
+        def padded(plane: np.ndarray, fill) -> np.ndarray:
+            pad = np.full((1, plane.shape[1]), fill, dtype=plane.dtype)
+            return np.vstack([plane, pad])
+
+        return (
+            padded(self.restricted, False),
+            padded(self.value_counts, 0.0),
+            padded(self.level_cardinalities, 1.0),
+            padded(self.level_depths, NO_RESTRICTION),
+        )
+
     def dimension_row(self, dimension: str) -> int:
         """Row index of ``dimension`` in the columnar arrays."""
         try:
-            return self.dimension_names.index(dimension)
-        except ValueError:
+            return self.row_of[dimension]
+        except KeyError:
             raise WorkloadError(
                 f"dimension {dimension!r} is not restricted by any query class"
             ) from None

@@ -73,14 +73,14 @@ class TestEngineOptions:
             with pytest.raises(AdvisorError):
                 EngineOptions(**{field: "yes"})
 
-    def test_vectorize_modes_normalize(self):
-        assert EngineOptions().vectorize_mode == "candidates"
-        assert EngineOptions(vectorize=True).vectorize_mode == "candidates"
-        assert EngineOptions(vectorize=False).vectorize_mode == "none"
-        for mode in ("none", "classes", "candidates"):
-            assert EngineOptions(vectorize=mode).vectorize_mode == mode
-        with pytest.raises(AdvisorError):
-            EngineOptions(vectorize="rows")
+    def test_vectorize_rejects_mode_strings(self):
+        assert EngineOptions(vectorize=False).describe() == "jobs=1, scalar"
+        assert EngineOptions().describe() == "jobs=1, vectorized"
+        for mode in ("candidates", "classes", "none", "rows"):
+            with pytest.raises(AdvisorError, match="vectorize must be a bool"):
+                EngineOptions(vectorize=mode)
+        with pytest.raises(AdvisorError, match="vectorize must be a bool"):
+            EngineOptions.from_dict({"vectorize": "classes"})
 
     def test_rejects_empty_cache_dir(self):
         with pytest.raises(AdvisorError):

@@ -175,26 +175,19 @@ class TestVectorizeFlag:
         scalar = json.loads(capsys.readouterr().out)
         assert vectorized == scalar
 
-    def test_vectorize_mode_flag_outputs_are_identical(self, capsys):
-        outputs = []
-        for mode in ("candidates", "classes", "none"):
-            assert (
-                main(["recommend", *self.COMMON, "--json", "--vectorize", mode]) == 0
-            )
-            outputs.append(json.loads(capsys.readouterr().out))
-        assert outputs[0] == outputs[1] == outputs[2]
+    def test_vectorize_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["recommend", "--vectorize", "classes"])
+        assert excinfo.value.code == 2
+        assert "--vectorize" in capsys.readouterr().err
 
-    def test_vectorize_mode_rejects_unknown_values(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["recommend", "--vectorize", "rows"])
-
-    def test_no_vectorize_wins_over_vectorize_mode(self):
-        from repro.cli import _engine_options
-
-        args = build_parser().parse_args(
-            ["recommend", "--no-vectorize", "--vectorize", "candidates"]
-        )
-        assert _engine_options(args).vectorize_mode == "none"
+    def test_config_vectorize_mode_string_is_rejected(self, tmp_path, capsys):
+        payload = example_config()
+        payload["engine"] = {"vectorize": "classes"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["recommend", "--config", str(path)]) == 2
+        assert "vectorize must be a bool" in capsys.readouterr().err
 
 
 class TestModuleSmoke:

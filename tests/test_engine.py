@@ -397,6 +397,33 @@ class TestAdaptiveJobs:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_pool_workers_are_spawned_not_forked(self, toy_advisor, monkeypatch):
+        """The pool never forks: ``warlock serve`` runs sweeps on request
+        threads, and a forked worker can inherit a lock held by another one."""
+        import concurrent.futures
+
+        class PoolRecorded(Exception):
+            pass
+
+        recorded = {}
+
+        def recording_pool(*args, **kwargs):
+            recorded.update(kwargs)
+            raise PoolRecorded
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        specs, _ = toy_advisor.generate_specs()
+        engine = EvaluationEngine(
+            toy_advisor.schema,
+            toy_advisor.workload,
+            toy_advisor.system,
+            toy_advisor.config,
+            options=EngineOptions(jobs=2),
+        )
+        with pytest.raises(PoolRecorded):
+            engine.evaluate_specs(specs)
+        assert recorded["mp_context"].get_start_method() == "spawn"
+
     def test_engine_fixed_jobs_pass_through(self, toy_advisor):
         engine = EvaluationEngine(
             toy_advisor.schema,
@@ -460,7 +487,9 @@ class TestBrokenPoolDegradedRetry:
         class PoisonedPool:
             """First chunk evaluates for real; every later chunk breaks."""
 
-            def __init__(self, max_workers=None, initializer=None, initargs=()):
+            def __init__(
+                self, max_workers=None, mp_context=None, initializer=None, initargs=()
+            ):
                 self.context = initargs[0]
                 self.submitted = []
                 pools.append(self)

@@ -101,8 +101,8 @@ def _golden_path(name: str) -> Path:
 
 @pytest.mark.parametrize(
     "vectorize",
-    ["candidates", "classes", False],
-    ids=["candidate-axis", "class-axis", "scalar"],
+    [True, False],
+    ids=["candidate-axis", "scalar"],
 )
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_recommendation_matches_golden_snapshot(name, vectorize):

@@ -39,7 +39,7 @@ from repro.api.requests import (
     SimulateRequest,
     TuneRequest,
 )
-from repro.errors import ServiceError
+from repro.errors import AdvisorError, ServiceError
 from repro.service import (
     AdvisorServer,
     RequestExecutor,
@@ -357,6 +357,10 @@ class TestWarehouseRegistration:
         with pytest.raises(ServiceError, match="advisor block"):
             warehouse_inputs_from_dict(
                 {"dataset": "apb1", "advisor": {"not_a_knob": 1}}
+            )
+        with pytest.raises(AdvisorError, match="vectorize must be a bool"):
+            warehouse_inputs_from_dict(
+                {"dataset": "apb1", "engine": {"vectorize": "classes"}}
             )
 
     def test_unknown_dataset_is_rejected(self):

@@ -1,14 +1,17 @@
-"""Parity harness: the vectorized class-axis sweep equals the scalar path, bitwise.
+"""Parity harness: the vectorized cost kernels equal the scalar path, bitwise.
 
-The batched cost path (:mod:`repro.costmodel.batch`) promises to be the *same
-model* as the scalar reference implementation — not an approximation.  This
-module is the harness that proves it:
+The vectorized cost path (:mod:`repro.costmodel.batch`) promises to be the
+*same model* as the scalar reference implementation — not an approximation.
+This module is the harness that proves it:
 
 * a hypothesis sweep draws random schemas, workloads (including multi-value
   restrictions), fragmentation specs, bitmap-scheme exclusions, disk counts
   and prefetch settings, and asserts **field-by-field equality** of
   ``AccessStructure``, ``QueryAccessProfile`` and ``QueryCost`` between the
-  two paths (floats compared with ``==``, i.e. bit-identical);
+  scalar path and the kernels on a stack of one layout (floats compared with
+  ``==``, i.e. bit-identical);
+* a second sweep asserts that every slice of a many-layout stack equals that
+  layout's one-layout stack;
 * whole-advisor checks assert identical recommendation fingerprints for the
   vectorized and the scalar path in serial, ``jobs=4``, cold-cache and
   warm-cache modes;
@@ -43,7 +46,7 @@ from repro.costmodel import (
     compute_access_structure_batch,
     compute_access_structure_batch_candidates,
     estimate_access,
-    estimate_access_batch,
+    estimate_access_batch_candidates,
     evaluate_workload_batch,
     evaluate_workload_batch_candidates,
     resolve_prefetch_setting,
@@ -191,7 +194,7 @@ class TestHypothesisSweep:
             data.draw(st.sampled_from([1, 4])),
         )
         for prefetch in (scalar_prefetch, drawn_prefetch):
-            profile_batch = estimate_access_batch(batch, prefetch, ppe)
+            profile_batch = _one_layout_profiles(batch, prefetch, ppe)
             for i, (query, _) in enumerate(workload.weighted_items()):
                 scalar_profile = estimate_access(
                     layout,
@@ -229,8 +232,20 @@ class TestHypothesisSweep:
         )
 
 
+def _one_layout_profiles(structures, prefetch, ppe):
+    """Access profiles of one layout's structure batch, as a stack of one."""
+    import numpy as np
+
+    return estimate_access_batch_candidates(
+        AccessStructureBatch2D.stack([structures]),
+        np.array([prefetch.fact_pages], dtype=np.float64),
+        np.array([prefetch.bitmap_pages], dtype=np.float64),
+        ppe,
+    ).candidate(0)
+
+
 class TestCandidateAxisHypothesisSweep:
-    """Random layout stacks: candidate-axis slices == class-axis, bitwise."""
+    """Random layout stacks: every slice == that layout's one-layout stack."""
 
     @PARITY_SETTINGS
     @given(data=st.data())
@@ -251,7 +266,7 @@ class TestCandidateAxisHypothesisSweep:
         ]
         matrix = ClassMatrix.compile(schema, workload, scheme)
         # The drawn spec's whole axis-structure group, stacked...
-        _assert_stack_matches_class_axis(
+        _assert_stack_matches_single_layout(
             [
                 layout
                 for layout in layouts
@@ -261,19 +276,19 @@ class TestCandidateAxisHypothesisSweep:
             system,
         )
         # ...and the whole sweep, every axis structure in one stack.
-        _assert_stack_matches_class_axis(layouts, matrix, system)
+        _assert_stack_matches_single_layout(layouts, matrix, system)
 
 
-def _assert_stack_matches_class_axis(layouts, matrix, system) -> None:
-    """Every slice of one stacked pass == the per-layout class-axis result.
+def _assert_stack_matches_single_layout(layouts, matrix, system) -> None:
+    """Every slice of one stacked pass == that layout evaluated on its own.
 
+    "On its own" is the single-layout entry points (a stack of one layout),
+    which the hypothesis sweep above pins to the scalar reference.
     Structures, resolved prefetch settings, access profiles and full
     evaluations are compared bitwise; ``stack()`` of the per-layout batches
     must rebuild the identical 2-D batch.
     """
     import numpy as np
-
-    from repro.costmodel import estimate_access_batch_candidates
 
     stacked = compute_access_structure_batch_candidates(layouts, matrix)
     prefetches = resolve_prefetch_settings_batch_candidates(stacked, matrix, system)
@@ -306,7 +321,7 @@ def _assert_stack_matches_class_axis(layouts, matrix, system) -> None:
         assert prefetches[k] == resolve_prefetch_setting_batch(
             reference, matrix, system
         )
-        expected_profiles = estimate_access_batch(reference, prefetches[k], ppe)
+        expected_profiles = _one_layout_profiles(reference, prefetches[k], ppe)
         sliced_profiles = profiles.candidate(k)
         for i in range(matrix.num_classes):
             _assert_fields_equal(
@@ -423,21 +438,21 @@ class TestAdvisorParityMatrix:
 
 
 class TestCandidateAxisParityMatrix:
-    """One fingerprint across mode × jobs × cold/warm-from-columnar-store."""
+    """One fingerprint across vectorize × jobs × cold/warm-from-columnar-store."""
 
     def test_modes_jobs_and_columnar_store_warmup_agree(self, tmp_path):
         schema, workload, system, config = _advisor_inputs()
         fingerprints = {}
-        for mode in ("none", "classes", "candidates"):
+        for vectorize in (False, True):
             for jobs in (1, 4):
-                store_dir = tmp_path / f"{mode}-jobs{jobs}"
+                store_dir = tmp_path / f"vectorize{vectorize}-jobs{jobs}"
                 cold = Warlock(
                     schema,
                     workload,
                     system,
                     config,
                     options=EngineOptions(
-                        jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
+                        jobs=jobs, vectorize=vectorize, cache_dir=str(store_dir)
                     ),
                 ).recommend()
                 # A separate advisor warm-starts from the columnar store.
@@ -447,16 +462,17 @@ class TestCandidateAxisParityMatrix:
                     system,
                     config,
                     options=EngineOptions(
-                        jobs=jobs, vectorize=mode, cache_dir=str(store_dir)
+                        jobs=jobs, vectorize=vectorize, cache_dir=str(store_dir)
                     ),
                 )
                 warm = warm_advisor.recommend()
                 assert warm_advisor.cache.stats.candidate_disk_hits > 0, (
-                    f"{mode}/jobs={jobs}: warm run must answer from the "
-                    f"columnar candidate store"
+                    f"vectorize={vectorize}/jobs={jobs}: warm run must answer "
+                    f"from the columnar candidate store"
                 )
-                fingerprints[(mode, jobs, "cold")] = recommendation_fingerprint(cold)
-                fingerprints[(mode, jobs, "warm")] = recommendation_fingerprint(warm)
+                key = (vectorize, jobs)
+                fingerprints[key + ("cold",)] = recommendation_fingerprint(cold)
+                fingerprints[key + ("warm",)] = recommendation_fingerprint(warm)
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_group_evaluation_equals_per_spec_path_with_mixed_cache(self):
@@ -649,7 +665,7 @@ class TestCandidateAxisGuards:
             )
             for spec in specs
         ]
-        return layouts, matrix, system
+        return layouts, matrix, system, workload, scheme
 
     def test_mixed_axis_structure_stack_matches_class_axis(self):
         from repro.datasets import apb1_query_mix, apb1_schema
@@ -666,7 +682,7 @@ class TestCandidateAxisGuards:
         ]
         assert len({layout.spec.axis_structure for layout in layouts}) > 1
         matrix = ClassMatrix.compile(schema, workload, advisor.design_bitmaps())
-        _assert_stack_matches_class_axis(layouts, matrix, system)
+        _assert_stack_matches_single_layout(layouts, matrix, system)
         with pytest.raises(CostModelError):
             compute_access_structure_batch_candidates([], matrix)
 
@@ -677,12 +693,10 @@ class TestCandidateAxisGuards:
             AccessStructureBatch2D.stack([])
 
     def test_profile_slices_match_class_axis_profiles(self):
+        """Stacked profile slices == the scalar ``estimate_access`` per class."""
         import numpy as np
 
-        from repro.costmodel import estimate_access_batch, estimate_access_batch_candidates
-        from repro.costmodel.model import _positioning_page_equivalent
-
-        layouts, matrix, system = self._layouts()
+        layouts, matrix, system, workload, scheme = self._layouts()
         group = [
             layout
             for layout in layouts
@@ -692,17 +706,19 @@ class TestCandidateAxisGuards:
         ppe = _positioning_page_equivalent(system)
         granules = np.full(len(group), 4.0)
         profiles = estimate_access_batch_candidates(stacked, granules, granules, ppe)
+        prefetch = PrefetchSetting.fixed(4, 4)
         for k, layout in enumerate(group):
-            reference = estimate_access_batch(
-                compute_access_structure_batch(layout, matrix),
-                PrefetchSetting.fixed(4, 4),
-                ppe,
-            )
             sliced = profiles.candidate(k)
-            for i in range(matrix.num_classes):
-                _assert_fields_equal(
-                    reference.profile(i), sliced.profile(i), layout.spec.label
+            for i, (query, _) in enumerate(workload.weighted_items()):
+                reference = estimate_access(
+                    layout,
+                    query,
+                    scheme,
+                    prefetch,
+                    positioning_page_equivalent=ppe,
+                    validate=False,
                 )
+                _assert_fields_equal(reference, sliced.profile(i), layout.spec.label)
 
     def test_batch_granule_selection_matches_scalar(self):
         import numpy as np
